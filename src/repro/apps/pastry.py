@@ -21,6 +21,7 @@ probing, mirroring Pastry's self-stabilisation.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
@@ -96,13 +97,24 @@ class PastryNode:
 
         self.me = instance.me.with_id(
             hash_key(f"{instance.me.ip}:{instance.me.port}", self.bits))
-        #: known leaf-set candidates, keyed by endpoint (trimmed to the
-        #: closest ``leaf_half`` on each side after every merge)
+        #: the leaf set, keyed by endpoint: always exactly the union of the
+        #: two halves below (a small ring puts a node in both)
         self.leaves: Dict[Tuple[str, int], NodeRef] = {}
+        #: the closest ``leaf_half`` leaves clockwise / counter-clockwise,
+        #: nearest first (ordered by ``_cw_key`` / ``_ccw_key``)
+        self._cw_half: List[NodeRef] = []
+        self._ccw_half: List[NodeRef] = []
+        #: ``leaves`` ordered by endpoint (None until read after a change)
+        self._leaf_view: Optional[List[NodeRef]] = None
         #: routing table: ``table[row][column]`` — row = shared prefix
         #: length, column = next digit of the destination
         self.table: List[List[Optional[NodeRef]]] = [
             [None] * (1 << self.base_bits) for _ in range(self.digits)]
+        #: endpoint -> bitmask of the table rows holding it (a small int
+        #: per entry, so the index costs little memory)
+        self._table_rows: Dict[NodeRef, int] = {}
+        #: leaves and table entries ordered by endpoint (None when stale)
+        self._known: Optional[List[NodeRef]] = None
         self.joined = False
         self.stats = PastryStats()
         self._rng = substream(self.events.sim.seed, "pastry",
@@ -194,9 +206,10 @@ class PastryNode:
         """One hop of an iterative lookup: done with the owner, or forward."""
         key = int(key) % (1 << self.bits)
         avoided = set(avoid or ())
-        leaves = [n for n in self._leaf_nodes() if n.id not in avoided]
         if self._leaf_covers(key):
-            best = min(leaves + [self.me], key=self._closeness_key(key))
+            candidates = [n for n in self.leaves.values() if n.id not in avoided]
+            candidates.append(self.me)
+            best = min(candidates, key=self._closeness_key(key))
             return {"done": True, "node": best}
         row = shared_prefix_length(key, self.me.id, self.digits, self.base_bits)
         entry = self.table[row][digit_at(key, row, self.digits, self.base_bits)]
@@ -218,7 +231,7 @@ class PastryNode:
         otherwise) repairs stale-route errors.
         """
         key = int(key) % (1 << self.bits)
-        best = min(self._leaf_nodes() + [self.me], key=self._closeness_key(key))
+        best = min([*self.leaves.values(), self.me], key=self._closeness_key(key))
         if best == self.me:
             return {"mine": True}
         return {"mine": False, "node": best}
@@ -379,36 +392,41 @@ class PastryNode:
         return lambda n: (numeric_distance(key, n.id, self.bits), n.id, n.ip, n.port)
 
     def _leaf_nodes(self) -> List[NodeRef]:
-        return sorted(self.leaves.values(), key=lambda n: (n.ip, n.port))
+        view = self._leaf_view
+        if view is None:
+            view = self._leaf_view = sorted(self.leaves.values(),
+                                            key=lambda n: (n.ip, n.port))
+        return list(view)
 
     def _cw(self) -> List[NodeRef]:
         """Leaves ordered by clockwise distance from us (nearest first)."""
-        return sorted(self.leaves.values(),
-                      key=lambda n: (ring_distance(self.me.id, n.id, self.bits),
-                                     n.ip, n.port))[: self.leaf_half]
+        return list(self._cw_half)
 
     def _ccw(self) -> List[NodeRef]:
         """Leaves ordered by counter-clockwise distance from us (nearest first)."""
-        return sorted(self.leaves.values(),
-                      key=lambda n: (ring_distance(n.id, self.me.id, self.bits),
-                                     n.ip, n.port))[: self.leaf_half]
+        return list(self._ccw_half)
+
+    def _cw_key(self, node: NodeRef) -> tuple:
+        return (ring_distance(self.me.id, node.id, self.bits), node.ip, node.port)
+
+    def _ccw_key(self, node: NodeRef) -> tuple:
+        return (ring_distance(node.id, self.me.id, self.bits), node.ip, node.port)
 
     def _leaf_covers(self, key: int) -> bool:
         """True when ``key`` falls inside the span of our leaf set."""
-        cw, ccw = self._cw(), self._ccw()
-        if not cw and not ccw:
-            return True  # alone on the ring: we own everything
         if len(self.leaves) < 2 * self.leaf_half:
             # The leaf set is not saturated, so it holds every member we
-            # know of — ownership is decided by numeric closeness directly.
+            # know of — ownership is decided by numeric closeness directly
+            # (and alone on the ring we own everything).
             return True
-        low = ccw[-1].id if ccw else self.me.id
-        high = cw[-1].id if cw else self.me.id
+        low = self._ccw_half[-1].id
+        high = self._cw_half[-1].id
         return between(key, low, high, include_low=True, include_high=True)
 
     def _rare_case(self, key: int, row: int, avoided: set) -> Optional[NodeRef]:
         """Any known node with prefix >= ``row`` strictly closer to ``key``."""
         mine = numeric_distance(key, self.me.id, self.bits)
+        closeness = self._closeness_key(key)
         best: Optional[NodeRef] = None
         best_key = None
         for node in self._known_nodes():
@@ -416,7 +434,7 @@ class PastryNode:
                 continue
             if shared_prefix_length(key, node.id, self.digits, self.base_bits) < row:
                 continue
-            candidate_key = self._closeness_key(key)(node)
+            candidate_key = closeness(node)
             if candidate_key[0] >= mine:
                 continue
             if best is None or candidate_key < best_key:
@@ -424,40 +442,74 @@ class PastryNode:
         return best
 
     def _known_nodes(self) -> List[NodeRef]:
-        known = {(n.ip, n.port): n for n in self.leaves.values()}
-        for table_row in self.table:
-            for entry in table_row:
-                if entry is not None:
-                    known.setdefault((entry.ip, entry.port), entry)
-        return [known[k] for k in sorted(known)]
+        known = self._known
+        if known is None:
+            by_endpoint = {(n.ip, n.port): n for n in self.leaves.values()}
+            for table_row in self.table:
+                for entry in table_row:
+                    if entry is not None:
+                        by_endpoint.setdefault((entry.ip, entry.port), entry)
+            known = self._known = [by_endpoint[k] for k in sorted(by_endpoint)]
+        return known
 
     def _learned(self, node: NodeRef) -> None:
         """Fold a freshly observed node into the leaf set and routing table."""
         if node is None or node.id is None or node == self.me:
             return
-        self.leaves[(node.ip, node.port)] = node
-        self._trim_leaves()
+        endpoint = (node.ip, node.port)
+        held = self.leaves.get(endpoint)
+        if held is None:
+            self._offer_leaf(endpoint, node)
+        elif held.id != node.id:
+            self.leaves[endpoint] = node
+            self._rebuild_leaves()
         row = shared_prefix_length(node.id, self.me.id, self.digits, self.base_bits)
         if row < self.digits:
             column = digit_at(node.id, row, self.digits, self.base_bits)
             if self.table[row][column] is None:
                 self.table[row][column] = node
+                self._table_rows[node] = self._table_rows.get(node, 0) | (1 << row)
+                self._known = None
 
-    def _trim_leaves(self) -> None:
-        keep = {(n.ip, n.port) for n in self._cw()} | {(n.ip, n.port) for n in self._ccw()}
+    def _offer_leaf(self, endpoint: Tuple[str, int], node: NodeRef) -> None:
+        """Insert a new endpoint into each half it ranks in; drop what falls out."""
+        cw_kept, cw_evicted = _offer(self._cw_half, node, self._cw_key, self.leaf_half)
+        ccw_kept, ccw_evicted = _offer(self._ccw_half, node, self._ccw_key, self.leaf_half)
+        if not (cw_kept or ccw_kept):
+            return
+        self.leaves[endpoint] = node
+        for evicted in (cw_evicted, ccw_evicted):
+            # An evicted leaf stays while the other half still holds it.
+            if evicted is not None and evicted not in self._cw_half \
+                    and evicted not in self._ccw_half:
+                self.leaves.pop((evicted.ip, evicted.port), None)
+        self._leaf_view = self._known = None
+
+    def _rebuild_leaves(self) -> None:
+        """Recompute both halves from ``leaves`` and drop what neither keeps."""
+        self._cw_half = sorted(self.leaves.values(), key=self._cw_key)[: self.leaf_half]
+        self._ccw_half = sorted(self.leaves.values(), key=self._ccw_key)[: self.leaf_half]
+        keep = {(n.ip, n.port) for n in self._cw_half + self._ccw_half}
         if len(keep) < len(self.leaves):
             self.leaves = {k: v for k, v in self.leaves.items() if k in keep}
+        self._leaf_view = self._known = None
 
     def _note_dead(self, node: NodeRef) -> None:
         """Purge a dead node from local routing state."""
         if node == self.me:
             return
         self.stats.dead_nodes_noticed += 1
-        self.leaves.pop((node.ip, node.port), None)
-        for table_row in self.table:
-            for column, entry in enumerate(table_row):
-                if entry == node:
-                    table_row[column] = None
+        if self.leaves.pop((node.ip, node.port), None) is not None:
+            self._rebuild_leaves()
+        rows = self._table_rows.pop(node, 0)
+        if not rows:
+            return
+        self._known = None
+        for row, table_row in enumerate(self.table):
+            if rows >> row & 1:
+                for column, entry in enumerate(table_row):
+                    if entry is not None and entry == node:
+                        table_row[column] = None
 
     def routing_snapshot(self) -> dict:
         """Debug/report view of this node's routing state."""
@@ -470,6 +522,18 @@ class PastryNode:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PastryNode {self.me} joined={self.joined}>"
+
+
+def _offer(half: List[NodeRef], node: NodeRef, key, size: int
+           ) -> Tuple[bool, Optional[NodeRef]]:
+    """Bisect ``node`` into a leaf-set half sorted by ``key`` if it beats the
+    farthest entry or the half is not full; return ``(kept, evicted)``."""
+    if len(half) >= size and key(node) >= key(half[-1]):
+        return False, None
+    insort(half, node, key=key)
+    if len(half) > size:
+        return True, half.pop()
+    return True, None
 
 
 def pastry_factory(**options):

@@ -29,22 +29,9 @@ def sha256(data: Bytes) -> str:
     return hashlib.sha256(_as_bytes(data)).hexdigest()
 
 
-def sha1_int(data: Bytes, bits: int = 160) -> int:
-    """SHA-1 digest truncated to ``bits`` bits, as an integer."""
-    value = int.from_bytes(hashlib.sha1(_as_bytes(data)).digest(), "big")
-    if bits >= 160:
-        return value
-    return value >> (160 - bits)
-
-
 def hmac_sha1(key: Bytes, data: Bytes) -> str:
     """Hex HMAC-SHA1 tag (used for daemon/controller authentication keys)."""
     return _hmac.new(_as_bytes(key), _as_bytes(data), hashlib.sha1).hexdigest()
-
-
-def verify_hmac_sha1(key: Bytes, data: Bytes, tag: str) -> bool:
-    """Constant-time verification of an HMAC-SHA1 tag."""
-    return _hmac.compare_digest(hmac_sha1(key, data), tag)
 
 
 def checksum(data: Bytes) -> int:

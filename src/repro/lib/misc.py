@@ -9,19 +9,12 @@ the framework are implemented here.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
-from typing import Any, Dict, Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Dict
 
 from repro.lib.ring import between as between  # re-exported, mirrors misc.between_c
 
-K = TypeVar("K")
-V = TypeVar("V")
-
 _DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(ms|s|m|h|d)?\s*$")
 _DURATION_FACTORS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, None: 1.0}
-
-_SIZE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(b|kb|mb|gb)?\s*$", re.IGNORECASE)
-_SIZE_FACTORS = {"b": 1, "kb": 1024, "mb": 1024 ** 2, "gb": 1024 ** 3, None: 1}
 
 
 def parse_duration(text: str | float | int) -> float:
@@ -37,108 +30,6 @@ def parse_duration(text: str | float | int) -> float:
         raise ValueError(f"cannot parse duration: {text!r}")
     value, unit = match.groups()
     return float(value) * _DURATION_FACTORS[unit]
-
-
-def format_duration(seconds: float) -> str:
-    """Human-readable rendering of a duration in seconds."""
-    if seconds < 1.0:
-        return f"{seconds * 1000:.0f}ms"
-    if seconds < 120.0:
-        return f"{seconds:.1f}s"
-    if seconds < 7200.0:
-        return f"{seconds / 60.0:.1f}m"
-    return f"{seconds / 3600.0:.1f}h"
-
-
-def parse_size(text: str | int) -> int:
-    """Parse sizes such as ``"16KB"``, ``"24MB"`` into bytes."""
-    if isinstance(text, int):
-        return text
-    match = _SIZE_RE.match(text)
-    if not match:
-        raise ValueError(f"cannot parse size: {text!r}")
-    value, unit = match.groups()
-    return int(float(value) * _SIZE_FACTORS[unit.lower() if unit else None])
-
-
-def format_size(nbytes: float) -> str:
-    """Human-readable rendering of a byte count."""
-    for unit, factor in (("GB", 1024 ** 3), ("MB", 1024 ** 2), ("KB", 1024)):
-        if nbytes >= factor:
-            return f"{nbytes / factor:.1f}{unit}"
-    return f"{nbytes:.0f}B"
-
-
-class LRUCache(Generic[K, V]):
-    """A fixed-capacity LRU map (used by the cooperative web cache)."""
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("LRU capacity must be positive")
-        self.capacity = capacity
-        self._data: "OrderedDict[K, V]" = OrderedDict()
-        self.evictions = 0
-
-    def get(self, key: K) -> Optional[V]:
-        if key not in self._data:
-            return None
-        self._data.move_to_end(key)
-        return self._data[key]
-
-    def put(self, key: K, value: V) -> None:
-        if key in self._data:
-            self._data.move_to_end(key)
-        self._data[key] = value
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-            self.evictions += 1
-
-    def pop(self, key: K) -> Optional[V]:
-        return self._data.pop(key, None)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def items(self) -> Iterator[Tuple[K, V]]:
-        return iter(self._data.items())
-
-
-class TokenBucket:
-    """A token bucket used by the restricted socket layer for bandwidth caps.
-
-    Tokens are bytes; the bucket refills at ``rate_bytes_per_s`` up to
-    ``capacity_bytes``.  ``consume`` returns the delay (seconds) the caller
-    must wait before the requested amount is available, charging the bucket
-    immediately (so concurrent callers queue up behind each other).
-    """
-
-    def __init__(self, rate_bytes_per_s: float, capacity_bytes: Optional[float] = None):
-        if rate_bytes_per_s <= 0:
-            raise ValueError("token bucket rate must be positive")
-        self.rate = rate_bytes_per_s
-        self.capacity = capacity_bytes if capacity_bytes is not None else rate_bytes_per_s
-        self._tokens = self.capacity
-        self._last_refill = 0.0
-
-    def consume(self, amount: float, now: float) -> float:
-        """Charge ``amount`` bytes; return how long the caller must wait."""
-        self._refill(now)
-        self._tokens -= amount
-        if self._tokens >= 0:
-            return 0.0
-        return -self._tokens / self.rate
-
-    def available(self, now: float) -> float:
-        self._refill(now)
-        return max(0.0, self._tokens)
-
-    def _refill(self, now: float) -> None:
-        elapsed = max(0.0, now - self._last_refill)
-        self._last_refill = now
-        self._tokens = min(self.capacity, self._tokens + elapsed * self.rate)
 
 
 class Counter:
@@ -158,21 +49,3 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Counter({self._counts})"
-
-
-def chunk_count(total_size: int, chunk_size: int) -> int:
-    """Number of chunks needed to cover ``total_size`` bytes."""
-    if chunk_size <= 0:
-        raise ValueError("chunk size must be positive")
-    return (total_size + chunk_size - 1) // chunk_size
-
-
-def flatten(nested: Any) -> list:
-    """Flatten one level of nesting from a list of lists."""
-    result = []
-    for item in nested:
-        if isinstance(item, (list, tuple)):
-            result.extend(item)
-        else:
-            result.append(item)
-    return result

@@ -85,17 +85,11 @@ def shared_prefix_length(a: int, b: int, digits: int, base_bits: int) -> int:
     Used by Pastry's prefix routing: identifiers are treated as ``digits``
     digits of ``base_bits`` bits each (most significant digit first).
     """
-    if a == b:
+    # The highest differing bit (within the ``digits`` digits) ends the prefix.
+    differing = (a ^ b) & ((1 << (digits * base_bits)) - 1)
+    if not differing:
         return digits
-    prefix = 0
-    for position in range(digits - 1, -1, -1):
-        shift = position * base_bits
-        digit_a = (a >> shift) & ((1 << base_bits) - 1)
-        digit_b = (b >> shift) & ((1 << base_bits) - 1)
-        if digit_a != digit_b:
-            break
-        prefix += 1
-    return prefix
+    return digits - 1 - (differing.bit_length() - 1) // base_bits
 
 
 def digit_at(identifier: int, position: int, digits: int, base_bits: int) -> int:

@@ -169,7 +169,7 @@ class JobStore:
         # per call is an O(hosts) (or O(hosts log hosts)) cost per event at
         # 10k nodes.  ``caches=False`` is the kill switch that restores the
         # from-scratch recompute everywhere (digest-parity oracle; see
-        # tests/test_store_caches.py), and the sanitizer cross-checks the
+        # tests/test_gcpolicy_caches.py), and the sanitizer cross-checks the
         # cached views after every control action.
         self.caches_enabled = caches
         self._alive_daemons_cache: Optional[List[Splayd]] = None
@@ -363,7 +363,7 @@ class JobStore:
         Byte-identical to the naive path by construction: the min-load bucket
         ip-sorted *is* the naive pool, and ``randrange(len(pool))`` consumes
         the RNG exactly like ``choice(pool)`` (both make one ``_randbelow``
-        call) — asserted against the naive plan in tests/test_store_caches.py.
+        call) — asserted against the naive plan in tests/test_gcpolicy_caches.py.
         """
         plan: List[Tuple[Splayd, int]] = []
         buckets: Dict[int, List[Splayd]] = {}

@@ -1,6 +1,10 @@
 """Pastry: prefix routing, leaf-set ownership, and recovery under churn."""
 
-from repro.apps.pastry import pastry_factory
+import pytest
+
+from repro.apps import harness
+from repro.apps.pastry import pastry_factory, run_pastry_scenario
+from repro.core.churn import synthetic_availability_trace
 from repro.core.jobs import JobSpec
 from repro.lib.ring import numeric_distance
 from repro.net.latency import ConstantLatency
@@ -12,6 +16,14 @@ from repro.sim.process import Process
 
 BITS = 16
 BASE_BITS = 4
+
+#: report digests captured before Pastry's routing state became
+#: incrementally maintained: 40 nodes on 20 hosts under instance churn and a
+#: replayed host-availability trace, one entry per seed
+PRE_INCREMENTAL_DIGESTS = {
+    0: "9274368a817d3987",
+    1: "9fe254dc88697c9d",
+}
 
 
 def _deploy(nodes=10, seed=0, churn_script=None):
@@ -141,3 +153,14 @@ def test_same_seed_builds_the_same_overlay():
         return tuple((m.ip, m.port, m.id) for m in _members(job))
 
     assert fingerprint(5) == fingerprint(5)
+
+
+@pytest.mark.parametrize("seed", sorted(PRE_INCREMENTAL_DIGESTS))
+def test_churn_and_trace_report_digest_is_pinned(seed):
+    report = run_pastry_scenario(
+        nodes=40, hosts=20, seed=seed, join_window=30.0, settle=30.0, lookups=40,
+        churn_script="from 60s to 150s every 15s replace 10%\n",
+        churn_trace=synthetic_availability_trace(hosts=8, duration=200.0, seed=seed))
+    # the run exercises both failure sources the digest is meant to pin
+    assert report["churn"]["joined"] > 0 and report["churn"]["hosts_failed"] > 0
+    assert harness.report_digest(report) == PRE_INCREMENTAL_DIGESTS[seed]

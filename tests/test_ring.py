@@ -1,5 +1,7 @@
 """Ring arithmetic: wrap-around intervals (Chord) and prefix digits (Pastry)."""
 
+import random
+
 import pytest
 
 from repro.lib.ring import (
@@ -80,6 +82,33 @@ def test_shared_prefix_length_with_base_bits_one_counts_matching_bits():
     assert shared_prefix_length(0b1101, 0b1100, digits=4, base_bits=1) == 3
     # ...but only 1 leading 2-bit digit (11 vs 11, then 01 vs 00).
     assert shared_prefix_length(0b1101, 0b1100, digits=2, base_bits=2) == 1
+
+
+def _prefix_by_digits(a, b, digits, base_bits):
+    """Digit-by-digit reference for :func:`shared_prefix_length`."""
+    prefix = 0
+    for position in range(digits):
+        if digit_at(a, position, digits, base_bits) != digit_at(b, position, digits, base_bits):
+            break
+        prefix += 1
+    return prefix
+
+
+def test_shared_prefix_length_matches_a_digit_by_digit_comparison():
+    rng = random.Random(7)
+    for _ in range(2000):
+        base_bits = rng.choice([1, 2, 3, 4, 8])
+        digits = rng.randrange(1, 12)
+        width = digits * base_bits
+        a = rng.randrange(1 << width)
+        # share a random number of leading bits, sometimes all of them
+        keep = rng.randrange(width + 1)
+        b = (a >> (width - keep) << (width - keep)) | rng.randrange(1 << (width - keep))
+        # bits above the digit span are ignored
+        if rng.random() < 0.2:
+            a |= rng.randrange(1, 8) << width
+        assert shared_prefix_length(a, b, digits, base_bits) == \
+            _prefix_by_digits(a, b, digits, base_bits)
 
 
 def test_digit_at_extracts_most_significant_first():
