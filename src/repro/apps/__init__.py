@@ -13,6 +13,8 @@ through ``instance.rpc`` / ``instance.events`` / ``instance.fs`` /
   epidemic broadcast;
 * :mod:`repro.apps.dissemination` — BitTorrent-style rarest-first chunk
   swarming over the flow-level bandwidth model;
+* :mod:`repro.apps.membership` — the job's member list every workload
+  bootstraps and draws random peers from;
 * :mod:`repro.apps.registry` / :mod:`repro.apps.harness` — the pluggable
   scenario registry and the shared deploy/churn/measure/report pipeline;
 * :mod:`repro.apps.scenarios` — end-to-end experiment entry points

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 
+from repro.apps.membership import Membership
 from repro.lib.ring import between, hash_key, ring_add, ring_distance
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
@@ -94,7 +95,7 @@ class ChordNode:
     # -------------------------------------------------------------- lifecycle
     def start(self) -> None:
         """Create the ring (first node of the job) or schedule a join."""
-        members = self.instance.job.shared.setdefault("chord_members", [])
+        self.members = Membership.of(self.instance.job, "chord")
         if not self.instance.job.shared.get("chord_created"):
             # First instance of the job bootstraps the ring immediately.
             self.instance.job.shared["chord_created"] = True
@@ -104,14 +105,11 @@ class ChordNode:
             self.events.thread(self._join_main, name=f"{self.instance.context.name}.join",
                                delay=delay)
         # Keep the shared member registry honest on teardown.
-        self.instance.context.add_cleanup(
-            lambda: members.remove(self.me) if self.me in members else None)
+        self.instance.context.add_cleanup(lambda: self.members.remove(self.me))
 
     def _become_member(self) -> None:
         self.joined = True
-        members = self.instance.job.shared["chord_members"]
-        if self.me not in members:
-            members.append(self.me)
+        self.members.add(self.me)
         self.events.periodic(self._stabilize, self.stabilize_interval,
                              jitter=self.stabilize_interval * 0.25)
         self.events.periodic(self._fix_fingers, self.fix_fingers_interval,
@@ -149,11 +147,7 @@ class ChordNode:
 
     def _pick_bootstrap(self) -> Optional[NodeRef]:
         """A live ring member to join through (the controller's node list)."""
-        members = [m for m in self.instance.job.shared.get("chord_members", [])
-                   if m != self.me]
-        if not members:
-            return None
-        return self._rng.choice(members)
+        return self.members.pick_other(self._rng, self.me)
 
     # ------------------------------------------------------------ RPC handlers
     def _rpc_step(self, key: int, avoid: Optional[list] = None) -> dict:
@@ -459,7 +453,7 @@ from repro.apps.harness import FLAGSHIP_CHURN_SCRIPT as DEFAULT_CHURN_SCRIPT  # 
 
 def expected_owner(job, key: int, bits: int) -> Optional[NodeRef]:
     """Ground truth: the successor of ``key`` among current ring members."""
-    members = job.shared.get("chord_members", [])
+    members = Membership.of(job, "chord")
     if not members:
         return None
     return min(members, key=lambda m: (ring_distance(key, m.id, bits), m.ip, m.port))

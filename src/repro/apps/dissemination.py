@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set
 
+from repro.apps.membership import Membership
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
 from repro.net.bwalloc import BULK
@@ -73,7 +74,8 @@ class SwarmNode:
 
         self.me = instance.me
         self.have: Set[int] = set()
-        #: chunk index -> how many peers were seen advertising it
+        #: chunk index -> how many ``have`` replies advertised it (one per
+        #: poll, so a peer polled twice counts twice)
         self.availability: Dict[int, int] = {}
         self._pending: Set[int] = set()
         self._uploads = 0
@@ -92,7 +94,7 @@ class SwarmNode:
 
     # -------------------------------------------------------------- lifecycle
     def start(self) -> None:
-        members = self.instance.job.shared.setdefault("swarm_members", [])
+        self.members = Membership.of(self.instance.job, "swarm")
         if not self.instance.job.shared.get("swarm_seeded"):
             self.instance.job.shared["swarm_seeded"] = True
             self.is_seed = True
@@ -102,14 +104,11 @@ class SwarmNode:
         else:
             delay = self._rng.uniform(0.0, self.join_window) if self.join_window > 0 else 0.0
             self._go_live(delay=delay)
-        self.instance.context.add_cleanup(
-            lambda: members.remove(self.me) if self.me in members else None)
+        self.instance.context.add_cleanup(lambda: self.members.remove(self.me))
 
     def _go_live(self, delay: float) -> None:
         def _up() -> None:
-            members = self.instance.job.shared["swarm_members"]
-            if self.me not in members:
-                members.append(self.me)
+            self.members.add(self.me)
             self.joined = True
             # The measured download time starts when the fetch workers do,
             # not at instance creation — the join stagger is not download
@@ -154,7 +153,7 @@ class SwarmNode:
     def _fetch_loop(self) -> Generator:
         """Swarm until complete: poll a random peer, fetch a missing chunk."""
         while not self.complete:
-            peer = self._pick_peer()
+            peer = self.members.pick_other(self._rng, self.me)
             if peer is None:
                 yield self.poll_interval
                 continue
@@ -165,9 +164,11 @@ class SwarmNode:
             except RpcError:
                 yield self.poll_interval * 0.5
                 continue
-            remote_have = set(int(c) for c in remote_have)
+            remote_have = set(map(int, remote_have))
+            availability = self.availability
+            advertised = availability.get
             for chunk in remote_have:
-                self.availability[chunk] = self.availability.get(chunk, 0) + 1
+                availability[chunk] = advertised(chunk, 0) + 1
             wanted = sorted(remote_have - self.have - self._pending)
             if not wanted:
                 yield self.poll_interval * 0.5
@@ -195,17 +196,18 @@ class SwarmNode:
                     self.log.info(f"swarm node {self.me} complete "
                                   f"({self.chunks} chunks)")
 
-    def _pick_peer(self) -> Optional[NodeRef]:
-        members = [m for m in self.instance.job.shared.get("swarm_members", [])
-                   if m != self.me]
-        if not members:
-            return None
-        return self._rng.choice(members)
-
     def _pick_chunk(self, wanted: List[int]) -> int:
         """Rarest-first among what the peer offers (ties broken randomly)."""
-        rarest = min(self.availability.get(c, 0) for c in wanted)
-        pool = [c for c in wanted if self.availability.get(c, 0) == rarest]
+        advertised = self.availability.get
+        rarest = advertised(wanted[0], 0)
+        pool = []
+        for chunk in wanted:
+            count = advertised(chunk, 0)
+            if count < rarest:
+                rarest = count
+                pool = [chunk]
+            elif count == rarest:
+                pool.append(chunk)
         return self._rng.choice(pool)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

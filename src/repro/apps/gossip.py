@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
+from repro.apps.membership import Membership
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
 from repro.sim.rng import substream
@@ -94,25 +95,22 @@ class GossipNode:
 
     # -------------------------------------------------------------- lifecycle
     def start(self) -> None:
-        members = self.instance.job.shared.setdefault("gossip_members", [])
+        self.members = Membership.of(self.instance.job, "gossip")
         delay = 0.0
-        if members and self.join_window > 0:
+        if self.members and self.join_window > 0:
             delay = self._rng.uniform(0.0, self.join_window)
         if delay > 0:
             self.events.timer(delay, self._go_live)
         else:
             self._go_live()
-        self.instance.context.add_cleanup(
-            lambda: members.remove(self.me) if self.me in members else None)
+        self.instance.context.add_cleanup(lambda: self.members.remove(self.me))
 
     def _go_live(self) -> None:
-        members = self.instance.job.shared["gossip_members"]
-        seeds = [m for m in members if m != self.me]
+        seeds = self.members.others(self.me)
         for seed in self._sample(seeds, min(self.view_size // 2 + 1, len(seeds))):
             self._view_add(seed, age=0)
         self.joined = True
-        if self.me not in members:
-            members.append(self.me)
+        self.members.add(self.me)
         self.events.periodic(self._shuffle, self.shuffle_interval,
                              jitter=self.shuffle_interval * 0.25)
         self.events.periodic(self._anti_entropy, self.ae_interval,
@@ -185,8 +183,7 @@ class GossipNode:
 
     def _reseed(self) -> None:
         """Empty view (every peer churned away): restart from the member list."""
-        members = [m for m in self.instance.job.shared.get("gossip_members", [])
-                   if m != self.me]
+        members = self.members.others(self.me)
         for seed in self._sample(members, min(3, len(members))):
             self._view_add(seed, age=0)
 

@@ -25,6 +25,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
+from repro.apps.membership import Membership
 from repro.lib.ring import (
     between,
     digit_at,
@@ -131,7 +132,7 @@ class PastryNode:
     # -------------------------------------------------------------- lifecycle
     def start(self) -> None:
         """Create the overlay (first node of the job) or schedule a join."""
-        members = self.instance.job.shared.setdefault("pastry_members", [])
+        self.members = Membership.of(self.instance.job, "pastry")
         if not self.instance.job.shared.get("pastry_created"):
             self.instance.job.shared["pastry_created"] = True
             self._become_member()
@@ -139,14 +140,11 @@ class PastryNode:
             delay = self._rng.uniform(0.0, self.join_window) if self.join_window > 0 else 0.0
             self.events.thread(self._join_main, name=f"{self.instance.context.name}.join",
                                delay=delay)
-        self.instance.context.add_cleanup(
-            lambda: members.remove(self.me) if self.me in members else None)
+        self.instance.context.add_cleanup(lambda: self.members.remove(self.me))
 
     def _become_member(self) -> None:
         self.joined = True
-        members = self.instance.job.shared["pastry_members"]
-        if self.me not in members:
-            members.append(self.me)
+        self.members.add(self.me)
         self.events.periodic(self._leafset_repair, self.repair_interval,
                              jitter=self.repair_interval * 0.25)
         self.events.periodic(self._table_maintenance, self.table_probe_interval,
@@ -195,11 +193,7 @@ class PastryNode:
         self.events.exit()
 
     def _pick_bootstrap(self) -> Optional[NodeRef]:
-        members = [m for m in self.instance.job.shared.get("pastry_members", [])
-                   if m != self.me]
-        if not members:
-            return None
-        return self._rng.choice(members)
+        return self.members.pick_other(self._rng, self.me)
 
     # ------------------------------------------------------------ RPC handlers
     def _rpc_step(self, key: int, avoid: Optional[list] = None) -> dict:
@@ -554,7 +548,7 @@ from repro.apps.harness import FLAGSHIP_CHURN_SCRIPT as DEFAULT_CHURN_SCRIPT  # 
 
 def expected_owner(job, key: int, bits: int) -> Optional[NodeRef]:
     """Ground truth: the numerically closest current member to ``key``."""
-    members = job.shared.get("pastry_members", [])
+    members = Membership.of(job, "pastry")
     if not members:
         return None
     return min(members, key=lambda m: (numeric_distance(key, m.id, bits),

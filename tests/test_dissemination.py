@@ -1,7 +1,9 @@
 """Dissemination: chunk swarming drives the flow-level bandwidth model."""
 
+import pytest
+
 from repro.apps.dissemination import run_dissemination_scenario, swarm_factory
-from repro.apps.harness import deterministic_report_view
+from repro.apps.harness import deterministic_report_view, report_digest
 from repro.core.jobs import JobSpec
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
@@ -11,6 +13,17 @@ from repro.sim.kernel import Simulator
 
 CHUNKS = 8
 CHUNK_SIZE = 32768
+
+#: crashes, then replacements: members leave the job's member list at random
+#: positions while downloaders keep drawing random peers from it
+MEMBERSHIP_CHURN = "at 30s crash 10%\nfrom 40s to 100s every 20s replace 10%\n"
+
+#: report digests captured while the job's member list was still a plain
+#: list filtered on every draw, one entry per seed
+PRE_MEMBERSHIP_DIGESTS = {
+    0: "c6c6bfaf5680cc17",
+    1: "a8ad0b793be217b3",
+}
 
 
 def _deploy(nodes=8, seed=0, churn_script=None, link_bps=10_000_000.0, **options):
@@ -100,3 +113,12 @@ def test_scenario_runner_reports_completion_and_is_deterministic():
     assert measured["success_rate"] == 1.0
     assert first["workload"]["transfers_completed"] >= 9 * 6
     assert first["cdf_samples_ms"] == sorted(first["cdf_samples_ms"])
+
+
+@pytest.mark.parametrize("seed", sorted(PRE_MEMBERSHIP_DIGESTS))
+def test_churn_report_digest_is_pinned(seed):
+    report = run_dissemination_scenario(
+        nodes=20, hosts=10, seed=seed, chunks=6, chunk_size=16384,
+        join_window=10.0, settle=20.0, churn_script=MEMBERSHIP_CHURN)
+    assert report["churn"]["crashed"] > 0 and report["churn"]["joined"] > 0
+    assert report_digest(report) == PRE_MEMBERSHIP_DIGESTS[seed]

@@ -1,12 +1,26 @@
 """Gossip: Cyclon view maintenance and epidemic broadcast coverage."""
 
-from repro.apps.gossip import gossip_factory
+import pytest
+
+from repro.apps.gossip import gossip_factory, run_gossip_scenario
+from repro.apps.harness import report_digest
 from repro.core.jobs import JobSpec
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.runtime.controller import Controller
 from repro.runtime.splayd import Splayd, SplaydLimits
 from repro.sim.kernel import Simulator
+
+#: crashes, then replacements: joiners seed their views from a member list
+#: that has lost members at random positions
+MEMBERSHIP_CHURN = "at 30s crash 10%\nfrom 40s to 100s every 20s replace 10%\n"
+
+#: report digests captured while the job's member list was still a plain
+#: list filtered on every draw, one entry per seed
+PRE_MEMBERSHIP_DIGESTS = {
+    0: "f50f9d283ece739f",
+    1: "bb7eb3d1cc840054",
+}
 
 
 def _deploy(nodes=12, seed=0, churn_script=None, **options):
@@ -105,3 +119,12 @@ def test_same_seed_same_deliveries():
                             for a in _apps(job) if "x" in a.store))
 
     assert fingerprint(3) == fingerprint(3)
+
+
+@pytest.mark.parametrize("seed", sorted(PRE_MEMBERSHIP_DIGESTS))
+def test_churn_report_digest_is_pinned(seed):
+    report = run_gossip_scenario(
+        nodes=20, hosts=10, seed=seed, broadcasts=10, join_window=10.0,
+        settle=20.0, churn_script=MEMBERSHIP_CHURN)
+    assert report["churn"]["crashed"] > 0 and report["churn"]["joined"] > 0
+    assert report_digest(report) == PRE_MEMBERSHIP_DIGESTS[seed]
