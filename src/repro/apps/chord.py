@@ -407,16 +407,6 @@ class ChordNode:
         if self.predecessor == node:
             self.predecessor = None
 
-    def ring_snapshot(self) -> dict:
-        """Debug/report view of this node's routing state."""
-        return {
-            "me": self.me,
-            "predecessor": self.predecessor,
-            "successors": list(self.successors),
-            "fingers_known": sum(1 for f in self.fingers if f is not None),
-            "joined": self.joined,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ChordNode {self.me} joined={self.joined}>"
 
@@ -464,7 +454,7 @@ def run_chord_scenario(nodes: int = 50, hosts: Optional[int] = None, seed: int =
                        lookups: int = 200, bits: int = 32,
                        join_window: Optional[float] = None,
                        settle: Optional[float] = None, spacing: float = 0.25,
-                       probe_interval: float = 2.0, kernel: str = "wheel",
+                       probe_interval: float = 2.0,
                        duration: str = "full", ctl_shards: int = 1,
                        testbed: str = "transit-stub",
                        churn_trace: Optional[str] = None,
@@ -472,16 +462,12 @@ def run_chord_scenario(nodes: int = 50, hosts: Optional[int] = None, seed: int =
                        trace_out: Optional[str] = None, profile: bool = False,
                        log_level: str = "INFO",
                        bw_alloc: str = "max-min",
-                       bw_global: bool = False,
-                       gc_policy: str = "tuned",
-                       store_caches: bool = True) -> dict:
+                       gc_policy: str = "tuned") -> dict:
     """Run the flagship Chord-under-churn scenario and return the report dict.
 
     ``join_window`` and ``settle`` default to values scaled with the ring
     size — big rings need proportionally longer to join and re-converge
-    (``duration="short"`` is the quick CI preset).  ``kernel`` selects the
-    event-queue implementation (``"wheel"`` or the baseline ``"heap"``);
-    both produce byte-identical results for one seed.  ``testbed`` selects
+    (``duration="short"`` is the quick CI preset).  ``testbed`` selects
     the deployment environment preset and ``churn_trace`` replays an
     availability trace as host-level churn (see :mod:`repro.testbeds` and
     :mod:`repro.core.churn`).
@@ -496,12 +482,12 @@ def run_chord_scenario(nodes: int = 50, hosts: Optional[int] = None, seed: int =
         DEFAULT_CHURN_SCRIPT if churn else None)
     deployment = harness.deploy(
         "chord", chord_factory(), nodes=nodes, hosts=hosts, seed=seed,
-        kernel=kernel, churn_script=script, churn_trace=churn_trace,
+        churn_script=script, churn_trace=churn_trace,
         testbed=testbed, options={"bits": bits},
         join_window=join_window, settle=settle, ctl_shards=ctl_shards,
         sanitize=sanitize, metrics=metrics, trace_out=trace_out,
         profile=profile, log_level=log_level, bw_alloc=bw_alloc,
-        bw_global=bw_global, gc_policy=gc_policy, store_caches=store_caches)
+        gc_policy=gc_policy)
     sim, job = deployment.sim, deployment.job
 
     def _owner(job, key):

@@ -241,7 +241,6 @@ def run_dissemination_scenario(nodes: int = 50, hosts: Optional[int] = None,
                                chunks: int = 24, chunk_size: int = 65536,
                                join_window: Optional[float] = None,
                                settle: Optional[float] = None,
-                               kernel: str = "wheel",
                                duration: str = "full",
                                ctl_shards: int = 1,
                                testbed: str = "transit-stub",
@@ -251,9 +250,7 @@ def run_dissemination_scenario(nodes: int = 50, hosts: Optional[int] = None,
                                profile: bool = False,
                                log_level: str = "INFO",
                                bw_alloc: str = "max-min",
-                               bw_global: bool = False,
-                               gc_policy: str = "tuned",
-                               store_caches: bool = True) -> dict:
+                               gc_policy: str = "tuned") -> dict:
     """Run the chunk-swarming workload and return the report dict.
 
     Every non-seed node is one measured operation: its latency is the time
@@ -269,12 +266,12 @@ def run_dissemination_scenario(nodes: int = 50, hosts: Optional[int] = None,
         DEFAULT_CHURN_SCRIPT if churn else None)
     deployment = harness.deploy(
         "dissemination", swarm_factory(), nodes=nodes, hosts=hosts, seed=seed,
-        kernel=kernel, churn_script=script, churn_trace=churn_trace,
+        churn_script=script, churn_trace=churn_trace,
         testbed=testbed, options={"chunks": chunks, "chunk_size": chunk_size},
         join_window=join_window, settle=settle, ctl_shards=ctl_shards,
         sanitize=sanitize, metrics=metrics, trace_out=trace_out,
         profile=profile, log_level=log_level, bw_alloc=bw_alloc,
-        bw_global=bw_global, gc_policy=gc_policy, store_caches=store_caches)
+        gc_policy=gc_policy)
     sim, job = deployment.sim, deployment.job
 
     horizon = deployment.measure_start + max(120.0, 0.02 * chunks * nodes)

@@ -272,7 +272,7 @@ def run_gossip_scenario(nodes: int = 50, hosts: Optional[int] = None, seed: int 
                         eval_window: float = 30.0, fanout: int = 3,
                         view_size: int = 8,
                         join_window: Optional[float] = None,
-                        settle: Optional[float] = None, kernel: str = "wheel",
+                        settle: Optional[float] = None,
                         duration: str = "full", ctl_shards: int = 1,
                         testbed: str = "transit-stub",
                         churn_trace: Optional[str] = None,
@@ -280,9 +280,7 @@ def run_gossip_scenario(nodes: int = 50, hosts: Optional[int] = None, seed: int 
                         trace_out: Optional[str] = None, profile: bool = False,
                         log_level: str = "INFO",
                         bw_alloc: str = "max-min",
-                        bw_global: bool = False,
-                        gc_policy: str = "tuned",
-                        store_caches: bool = True) -> dict:
+                        gc_policy: str = "tuned") -> dict:
     """Run the epidemic-broadcast workload and return the report dict.
 
     ``broadcasts`` messages are published from random live nodes once churn
@@ -300,12 +298,12 @@ def run_gossip_scenario(nodes: int = 50, hosts: Optional[int] = None, seed: int 
         DEFAULT_CHURN_SCRIPT if churn else None)
     deployment = harness.deploy(
         "gossip", gossip_factory(), nodes=nodes, hosts=hosts, seed=seed,
-        kernel=kernel, churn_script=script, churn_trace=churn_trace,
+        churn_script=script, churn_trace=churn_trace,
         testbed=testbed, options={"fanout": fanout, "view_size": view_size},
         join_window=join_window, settle=settle, ctl_shards=ctl_shards,
         sanitize=sanitize, metrics=metrics, trace_out=trace_out,
         profile=profile, log_level=log_level, bw_alloc=bw_alloc,
-        bw_global=bw_global, gc_policy=gc_policy, store_caches=store_caches)
+        gc_policy=gc_policy)
     sim, job = deployment.sim, deployment.job
 
     published: List[Tuple[str, float]] = []

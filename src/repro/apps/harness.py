@@ -17,10 +17,9 @@ different — the application itself and its workload driver.
 Everything is keyed off one root seed: topology, placement, join staggering,
 churn victim selection and the workload all draw from deterministic
 substreams, so a given configuration always produces the same report (and
-the same ``report_digest``).  The digest excludes the kernel choice and the
-control-plane sections, so it is also identical across ``--kernel`` and
-``--ctl-shards`` settings — the scale-out knobs must never change workload
-results.
+the same ``report_digest``).  The digest excludes the control-plane
+sections, so it is also identical across ``--ctl-shards`` settings — the
+scale-out knob must never change workload results.
 
 Public entry points: :func:`deploy` (+ :class:`Deployment`),
 :func:`scaled_windows` / :func:`scaled_ops` (duration presets),
@@ -135,10 +134,10 @@ def summarise(results: List[OpResult]) -> dict:
 
 #: report keys that describe *how* the experiment was executed rather than
 #: what the workload did — excluded from the digest so results can be
-#: asserted identical across kernels and controller shard counts, and so
-#: the default-testbed digest is unchanged from the pre-testbeds era (the
+#: asserted identical across controller shard counts, and so the
+#: default-testbed digest is unchanged from the pre-testbeds era (the
 #: environment's *effects* still show up in every digest-relevant section)
-DIGEST_EXCLUDED_KEYS = frozenset({"kernel", "ctl_shards", "control_plane",
+DIGEST_EXCLUDED_KEYS = frozenset({"ctl_shards", "control_plane",
                                   "testbed", "sanitizer",
                                   "metrics", "trace", "profile",
                                   "flight_recorder", "bw_alloc",
@@ -149,8 +148,8 @@ def deterministic_report_view(report: dict) -> dict:
     """The report minus its :data:`DIGEST_EXCLUDED_KEYS` sections.
 
     What is left must be byte-identical for the same seed whatever the
-    execution mechanics look like — kernel choice, shard count,
-    observability flags, GC policy, wall-clock phase attribution.
+    execution mechanics look like — shard count, observability flags, GC
+    policy, wall-clock phase attribution.
     """
     return {k: v for k, v in report.items() if k not in DIGEST_EXCLUDED_KEYS}
 
@@ -158,8 +157,8 @@ def deterministic_report_view(report: dict) -> dict:
 def report_digest(report: dict) -> str:
     """Seed-stable digest of a scenario report.
 
-    Execution-mechanics keys (:data:`DIGEST_EXCLUDED_KEYS`: the kernel
-    choice, the shard count and the per-shard/collector stats) are excluded:
+    Execution-mechanics keys (:data:`DIGEST_EXCLUDED_KEYS`: the shard
+    count and the per-shard/collector stats) are excluded:
     the digest asserts *workload-level* equality, which must hold whatever
     the control plane looks like.
     """
@@ -199,7 +198,6 @@ class Deployment:
     nodes: int
     host_count: int
     seed: int
-    kernel: str
     ctl_shards: int
     #: name of the testbed preset the substrate was built from
     testbed: str
@@ -223,8 +221,6 @@ class Deployment:
     trace_out: Optional[str] = None
     #: bandwidth allocator selected with ``--bw-alloc``
     bw_alloc: str = "max-min"
-    #: ``True`` when ``--bw-global`` forced brute-force recomputation
-    bw_global: bool = False
     #: GC discipline (:mod:`repro.sim.gcpolicy`), or ``None`` for ``off``
     gc_policy: Optional[object] = None
     #: wall seconds per phase — ``deploy`` (substrate build + job start),
@@ -261,7 +257,7 @@ def scaled_ops(ops: int, duration: str) -> int:
 
 
 def deploy(name: str, app_factory: Callable, nodes: int, hosts: Optional[int] = None,
-           seed: int = 0, kernel: str = "wheel", churn_script: Optional[str] = None,
+           seed: int = 0, churn_script: Optional[str] = None,
            churn_trace: Optional[str] = None, testbed: str = "transit-stub",
            options: Optional[dict] = None, base_port: int = 20000,
            join_window: float = 60.0, settle: float = 90.0,
@@ -269,8 +265,7 @@ def deploy(name: str, app_factory: Callable, nodes: int, hosts: Optional[int] = 
            sanitize: bool = False, metrics: bool = False,
            trace_out: Optional[str] = None, profile: bool = False,
            log_level: str = "INFO", bw_alloc: str = "max-min",
-           bw_global: bool = False, gc_policy: str = "off",
-           store_caches: bool = True) -> Deployment:
+           gc_policy: str = "off") -> Deployment:
     """Build the substrate, register daemons, submit and start the job.
 
     ``testbed`` names the environment preset (:mod:`repro.testbeds`) the
@@ -293,94 +288,94 @@ def deploy(name: str, app_factory: Callable, nodes: int, hosts: Optional[int] = 
     combination yields byte-identical report digests.  ``log_level`` sets
     the job's minimum log severity (the paper's controller-set verbosity).
     ``bw_alloc`` selects the flow-level bandwidth allocation strategy
-    (:mod:`repro.net.bwalloc`) and ``bw_global`` disables the incremental
-    connected-component recomputation (brute-force full recompute on every
-    flow change) — for the default ``max-min`` the two recomputation modes
-    are bit-identical, so only the allocator *choice* can move digests.
-    ``gc_policy`` selects the deployment's garbage-collection discipline
-    (:mod:`repro.sim.gcpolicy`: ``off`` / ``tuned`` / ``manual``) and
-    ``store_caches`` is the kill switch for the controller store's memoized
-    host/placement views — both are pure execution mechanics, asserted
-    digest-neutral by tests.
+    (:mod:`repro.net.bwalloc`).  ``gc_policy`` selects the deployment's
+    garbage-collection discipline (:mod:`repro.sim.gcpolicy`: ``off`` /
+    ``tuned``) — pure execution mechanics, asserted digest-neutral by
+    tests.  If building the deployment raises, the policy is disengaged
+    before the error propagates, so a failed deploy leaves the
+    interpreter's collector settings as it found them.
     """
     wall_started = time.perf_counter()  # det: ignore[DET102] -- phase-wall attribution, digest-excluded
     policy = None
     if gc_policy != "off":
         from repro.sim.gcpolicy import GCPolicy
         policy = GCPolicy(gc_policy).engage()
-    sim = Simulator(seed, kernel=kernel)
-    sim._gcpolicy = policy
-    sanitizer = None
-    if sanitize:
-        from repro.sim.sanitizer import Sanitizer
-        sanitizer = Sanitizer(sim).install()
-    observability = None
-    if metrics or trace_out is not None or profile or sanitize:
-        from repro.obs import Observability
-        observability = Observability(sim, metrics=metrics,
-                                      tracing=trace_out is not None,
-                                      profile=profile).install()
+    try:
+        sim = Simulator(seed)
+        sanitizer = None
+        if sanitize:
+            from repro.sim.sanitizer import Sanitizer
+            sanitizer = Sanitizer(sim).install()
+        observability = None
+        if metrics or trace_out is not None or profile or sanitize:
+            from repro.obs import Observability
+            observability = Observability(sim, metrics=metrics,
+                                          tracing=trace_out is not None,
+                                          profile=profile).install()
+            if sanitizer is not None:
+                # Violation reports pick up the last-K ring entries.
+                sanitizer.recorder = observability.recorder
+        testbed_spec = get_testbed(testbed)
+        host_count = hosts if hosts is not None else testbed_spec.default_hosts(nodes)
+        ips = host_ips(host_count)
+
+        built = testbed_spec.build(sim, ips, seed)
+        network = built.network
+        network.bandwidth.configure(allocator=bw_alloc)
         if sanitizer is not None:
-            # Violation reports pick up the last-K ring entries.
-            sanitizer.recorder = observability.recorder
-    testbed_spec = get_testbed(testbed)
-    host_count = hosts if hosts is not None else testbed_spec.default_hosts(nodes)
-    ips = host_ips(host_count)
+            sanitizer.watch_network(network)
 
-    built = testbed_spec.build(sim, ips, seed)
-    network = built.network
-    network.bandwidth.configure(allocator=bw_alloc, incremental=not bw_global)
-    if sanitizer is not None:
-        sanitizer.watch_network(network)
+        if policy is not None and observability is not None:
+            # Explicit-collect pauses show up as a profiler site (--profile).
+            policy.profiler = observability.profiler
+        controller = Controller(sim, network, seed=seed, shards=ctl_shards)
+        slots = max(2, math.ceil(nodes / host_count) + 2)
+        for ip in ips:
+            controller.register_daemon(
+                Splayd(sim, network, ip, SplaydLimits(max_instances=slots)))
 
-    if policy is not None and observability is not None:
-        # Explicit-collect pauses show up as a profiler site (--profile).
-        policy.profiler = observability.profiler
-    controller = Controller(sim, network, seed=seed, shards=ctl_shards,
-                            store_caches=store_caches)
-    slots = max(2, math.ceil(nodes / host_count) + 2)
-    for ip in ips:
-        controller.register_daemon(
-            Splayd(sim, network, ip, SplaydLimits(max_instances=slots)))
+        spec = JobSpec(
+            name=name,
+            app_factory=app_factory,
+            instances=nodes,
+            base_port=base_port,
+            log_level=log_level,
+            log_max_bytes=256_000,
+            churn_script=churn_script,
+            churn_trace=churn_trace,
+            options={**(options or {}), "join_window": join_window},
+        )
+        job = controller.submit(spec)
+        controller.start(job)
 
-    spec = JobSpec(
-        name=name,
-        app_factory=app_factory,
-        instances=nodes,
-        base_port=base_port,
-        log_level=log_level,
-        log_max_bytes=256_000,
-        churn_script=churn_script,
-        churn_trace=churn_trace,
-        options={**(options or {}), "join_window": join_window},
-    )
-    job = controller.submit(spec)
-    controller.start(job)
-
-    warmup_end = join_window + warmup_grace
-    churn_end = warmup_end
-    # The churn manager the shard just built holds the combined (script +
-    # trace) action list — the single source of truth for when churn ends.
-    manager = controller.churn_managers.get(job.job_id)
-    if manager is not None and manager.actions:
-        churn_end = max(warmup_end, max(a.time for a in manager.actions))
-    if policy is not None:
-        # Everything alive now survives the whole run — freeze it out of
-        # every future collection (and go fully manual if asked).
-        policy.after_deploy()
-    phase_wall = {"deploy": time.perf_counter() - wall_started,  # det: ignore[DET102] -- phase-wall attribution, digest-excluded
-                  "run": 0.0, "drain": 0.0}
-    return Deployment(sim=sim, network=network, topology=built.topology,
-                      controller=controller, job=job, nodes=nodes,
-                      host_count=host_count, seed=seed, kernel=kernel,
-                      ctl_shards=ctl_shards, testbed=testbed,
-                      testbed_description=built.description,
-                      join_window=join_window, settle=settle,
-                      warmup_end=warmup_end, churn_end=churn_end,
-                      measure_start=churn_end + settle, sanitizer=sanitizer,
-                      observability=observability, trace_out=trace_out,
-                      bw_alloc=bw_alloc, bw_global=bw_global,
-                      gc_policy=policy, phase_wall=phase_wall)
+        warmup_end = join_window + warmup_grace
+        churn_end = warmup_end
+        # The churn manager the shard just built holds the combined (script +
+        # trace) action list — the single source of truth for when churn ends.
+        manager = controller.churn_managers.get(job.job_id)
+        if manager is not None and manager.actions:
+            churn_end = max(warmup_end, max(a.time for a in manager.actions))
+        if policy is not None:
+            # Everything alive now survives the whole run — freeze it out of
+            # every future collection.
+            policy.after_deploy()
+        phase_wall = {"deploy": time.perf_counter() - wall_started,  # det: ignore[DET102] -- phase-wall attribution, digest-excluded
+                      "run": 0.0, "drain": 0.0}
+        return Deployment(sim=sim, network=network, topology=built.topology,
+                          controller=controller, job=job, nodes=nodes,
+                          host_count=host_count, seed=seed,
+                          ctl_shards=ctl_shards, testbed=testbed,
+                          testbed_description=built.description,
+                          join_window=join_window, settle=settle,
+                          warmup_end=warmup_end, churn_end=churn_end,
+                          measure_start=churn_end + settle, sanitizer=sanitizer,
+                          observability=observability, trace_out=trace_out,
+                          bw_alloc=bw_alloc, gc_policy=policy,
+                          phase_wall=phase_wall)
+    except BaseException:
+        if policy is not None:
+            policy.disengage()
+        raise
 
 
 # -------------------------------------------------------------------- drivers
@@ -427,10 +422,8 @@ def drain(sim: Simulator, driver: Process, hard_cap: float, step: float = 60.0,
           deployment: Optional[Deployment] = None) -> None:
     """Run the simulation until ``driver`` finishes (bounded by ``hard_cap``).
 
-    The loop's ``step``-sized slices are deterministic sim-time points: the
-    manual GC policy runs its explicit collects between them (never inside
-    event execution), and when ``deployment`` is given each slice's wall
-    time is attributed to the ``run`` phase (slices starting before
+    When ``deployment`` is given, the wall time of each ``step``-sized slice
+    is attributed to the ``run`` phase (slices starting before
     ``measure_start``: joins, churn, settling) or the ``drain`` phase (the
     measured workload) — attribution only observes the slices the loop
     already made, so execution and digests are untouched.
@@ -441,7 +434,6 @@ def drain(sim: Simulator, driver: Process, hard_cap: float, step: float = 60.0,
     """
     mark = deployment.measure_start if deployment is not None else 0.0
     walls = deployment.phase_wall if deployment is not None else None
-    policy = sim._gcpolicy
     while not driver.done.done() and sim.now < hard_cap:
         slice_start = sim.now
         wall_started = time.perf_counter()  # det: ignore[DET102] -- phase-wall attribution, digest-excluded
@@ -449,8 +441,6 @@ def drain(sim: Simulator, driver: Process, hard_cap: float, step: float = 60.0,
         if walls is not None:
             phase = "run" if slice_start < mark else "drain"
             walls[phase] += time.perf_counter() - wall_started  # det: ignore[DET102] -- phase-wall attribution, digest-excluded
-        if policy is not None:
-            policy.checkpoint()
     if not driver.done.done():
         obs = getattr(sim, "_obs", None)
         if obs is not None:
@@ -479,7 +469,6 @@ def base_report(scenario: str, deployment: Deployment, bits: Optional[int] = Non
     report = {
         "scenario": scenario,
         "seed": deployment.seed,
-        "kernel": deployment.kernel,
         "ctl_shards": deployment.ctl_shards,
         "testbed": deployment.testbed,
         "nodes": deployment.nodes,
@@ -504,7 +493,6 @@ def base_report(scenario: str, deployment: Deployment, bits: Optional[int] = Non
         # sections above (and for max-min are pinned byte-identical).
         "bw_alloc": {
             "allocator": network.bandwidth.allocator_name,
-            "incremental": network.bandwidth.incremental,
             "reallocations": network.bandwidth.reallocations,
             "flows_allocated": network.bandwidth.flows_allocated,
             "by_class": network.bandwidth.class_stats(),
@@ -522,11 +510,11 @@ def base_report(scenario: str, deployment: Deployment, bits: Optional[int] = Non
     if policy is not None:
         # Restore the interpreter's ambient GC configuration before
         # reporting; the section (digest-excluded) records what the policy
-        # did — freeze size, explicit collects, pause wall.
+        # did — freeze size, the post-deploy collect, pause wall.
         policy.disengage()
         report["gc"] = policy.section()
     if deployment.sanitizer is not None:
-        # Digest-excluded (like kernel/control_plane): the sanitizer reports
+        # Digest-excluded (like control_plane): the sanitizer reports
         # on execution mechanics, and turning it on must not change results.
         report["sanitizer"] = deployment.sanitizer.summary()
     obs = deployment.observability

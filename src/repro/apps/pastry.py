@@ -560,7 +560,7 @@ def run_pastry_scenario(nodes: int = 50, hosts: Optional[int] = None, seed: int 
                         lookups: int = 200, bits: int = 32, base_bits: int = 4,
                         join_window: Optional[float] = None,
                         settle: Optional[float] = None, spacing: float = 0.25,
-                        probe_interval: float = 2.0, kernel: str = "wheel",
+                        probe_interval: float = 2.0,
                         duration: str = "full", ctl_shards: int = 1,
                         testbed: str = "transit-stub",
                         churn_trace: Optional[str] = None,
@@ -568,9 +568,7 @@ def run_pastry_scenario(nodes: int = 50, hosts: Optional[int] = None, seed: int 
                         trace_out: Optional[str] = None, profile: bool = False,
                         log_level: str = "INFO",
                         bw_alloc: str = "max-min",
-                        bw_global: bool = False,
-                        gc_policy: str = "tuned",
-                        store_caches: bool = True) -> dict:
+                        gc_policy: str = "tuned") -> dict:
     """Run Pastry under (optional) churn and return the report dict."""
     from repro.apps import harness
     from repro.sim.process import Process
@@ -581,12 +579,12 @@ def run_pastry_scenario(nodes: int = 50, hosts: Optional[int] = None, seed: int 
         DEFAULT_CHURN_SCRIPT if churn else None)
     deployment = harness.deploy(
         "pastry", pastry_factory(), nodes=nodes, hosts=hosts, seed=seed,
-        kernel=kernel, churn_script=script, churn_trace=churn_trace,
+        churn_script=script, churn_trace=churn_trace,
         testbed=testbed, options={"bits": bits, "base_bits": base_bits},
         join_window=join_window, settle=settle, ctl_shards=ctl_shards,
         sanitize=sanitize, metrics=metrics, trace_out=trace_out,
         profile=profile, log_level=log_level, bw_alloc=bw_alloc,
-        bw_global=bw_global, gc_policy=gc_policy, store_caches=store_caches)
+        gc_policy=gc_policy)
     sim, job = deployment.sim, deployment.job
 
     def _owner(job, key):

@@ -18,11 +18,11 @@ substreams, so a given command line always produces the same report (and
 prints the same ``report digest``).
 
 ``scenarios bench`` sweeps nodes x churn-rate (and optionally host-count)
-grids for any registered workload over both kernels and emits CSV + JSON
-perf numbers with a regression gate.  ``--jobs N`` spreads the grid cells
-over an N-worker process pool (deterministic columns stay byte-identical
-with the serial run); ``--scale`` switches to the large-deployment profile
-(Chord at 1k/5k/10k nodes with fixed windows, per-cell peak RSS).
+grids for any registered workload and emits CSV + JSON perf numbers with a
+regression gate.  ``--jobs N`` spreads the grid cells over an N-worker
+process pool (deterministic columns stay byte-identical with the serial
+run); ``--scale`` switches to the large-deployment profile (Chord at
+1k/5k/10k nodes with fixed windows, per-cell peak RSS).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from repro.core.churn import (
     synthetic_churn_script,
 )
 from repro.net.bwalloc import allocator_names
+from repro.sim.gcpolicy import GC_MODES
 from repro.sim.kernel import Simulator
 from repro.testbeds import testbed_names
 
@@ -123,10 +124,11 @@ def _print_report(report: dict, spec: registry.ScenarioSpec) -> None:
 
 
 # --------------------------------------------------------------------- bench
-#: CSV columns emitted by ``scenarios bench`` (one row per grid cell+kernel)
+#: CSV columns emitted by ``scenarios bench`` (one row per grid cell;
+#: ``recompute`` is the bandwidth recomputation mode of ``bwalloc`` rows)
 BENCH_CSV_COLUMNS = [
-    "row_type", "workload", "testbed", "kernel", "nodes", "hosts", "churn_rate",
-    "ctl_shards", "bw_alloc", "seed", "seeds", "jobs",
+    "row_type", "workload", "testbed", "nodes", "hosts", "churn_rate",
+    "ctl_shards", "bw_alloc", "recompute", "seed", "seeds", "jobs",
     "wall_sec", "virtual_time", "events_executed", "events_per_sec",
     "events_per_sec_ci95", "wall_per_virtual_sec", "peak_rss_kb",
     "wall_deploy_s", "wall_run_s", "wall_drain_s",
@@ -223,7 +225,7 @@ def _aggregate_seed_rows(per_seed: List[dict]) -> dict:
     return row
 
 
-def _kernel_timer_churn(kernel: str, nodes: int, duration: float = 60.0,
+def _kernel_timer_churn(nodes: int, duration: float = 60.0,
                         seed: int = 7, repeats: int = 3) -> dict:
     """Kernel-isolated benchmark: the scenario's timer workload, no app code.
 
@@ -241,7 +243,7 @@ def _kernel_timer_churn(kernel: str, nodes: int, duration: float = 60.0,
     wall = float("inf")
     sim = None
     for _ in range(max(1, repeats)):
-        sim = Simulator(seed, kernel=kernel)
+        sim = Simulator(seed)
         rng = sim.rng
 
         def rpc_fire(index: int) -> None:
@@ -263,7 +265,6 @@ def _kernel_timer_churn(kernel: str, nodes: int, duration: float = 60.0,
         "row_type": "kernel",
         "workload": "",
         "testbed": "",
-        "kernel": kernel,
         "nodes": nodes,
         "hosts": "",
         "churn_rate": "",
@@ -279,7 +280,7 @@ def _kernel_timer_churn(kernel: str, nodes: int, duration: float = 60.0,
     }
 
 
-def _bench_scenario_row(spec: registry.ScenarioSpec, kernel: str, nodes: int,
+def _bench_scenario_row(spec: registry.ScenarioSpec, nodes: int,
                         churn_rate: float, seed: int, report: dict,
                         wall: float) -> dict:
     network = report["network"]
@@ -289,7 +290,6 @@ def _bench_scenario_row(spec: registry.ScenarioSpec, kernel: str, nodes: int,
         "row_type": "scenario",
         "workload": spec.name,
         "testbed": report.get("testbed", "transit-stub"),
-        "kernel": kernel,
         "nodes": nodes,
         "hosts": report["hosts"],
         "churn_rate": churn_rate,
@@ -332,7 +332,7 @@ def _bench_task_row(task: dict) -> dict:
     """Execute one bench task descriptor and return its row.
 
     Top-level (picklable) so ``--jobs N`` can ship tasks to pool workers;
-    descriptors are pure data (the workload name, kernel, grid coordinates
+    descriptors are pure data (the workload name, grid coordinates
     and runner kwargs), so a task produces the same deterministic columns in
     any process.  ``kind`` selects the task type: a ``scenario`` grid cell,
     a ``scale`` profile cell, or the kernel ``micro`` benchmark.
@@ -340,8 +340,7 @@ def _bench_task_row(task: dict) -> dict:
     registry.load_builtin()
     kind = task["kind"]
     if kind == "micro":
-        row = _kernel_timer_churn(task["kernel"], task["nodes"],
-                                  duration=task["duration"])
+        row = _kernel_timer_churn(task["nodes"], duration=task["duration"])
     elif kind == "bwalloc":
         row = _bwalloc_step_bench(task["allocator"], task["flows"],
                                   task["mode"], seed=task["seed"],
@@ -351,8 +350,8 @@ def _bench_task_row(task: dict) -> dict:
         start = time.perf_counter()  # det: ignore[DET102] -- bench wall timing
         report = spec.runner(**task["runner_kwargs"])
         wall = time.perf_counter() - start  # det: ignore[DET102] -- bench wall timing
-        row = _bench_scenario_row(spec, task["kernel"], task["nodes"],
-                                  task["churn_rate"], task["seed"], report, wall)
+        row = _bench_scenario_row(spec, task["nodes"], task["churn_rate"],
+                                  task["seed"], report, wall)
         if kind == "scale":
             row["row_type"] = "scale"
     # Meaningful per cell only with fresh workers (scale mode); in a serial
@@ -395,30 +394,25 @@ def _run_bench_tasks(tasks: List[dict], jobs: int,
 
 
 def run_bench(nodes_list: List[int], churn_rates: List[float],
-              kernels: List[str], seed: int = 0, lookups: int = 100,
+              seed: int = 0, lookups: int = 100,
               micro_duration: float = 60.0, quiet: bool = False,
               workload: str = "chord",
               hosts_list: Optional[List[Optional[int]]] = None,
               ctl_shards: int = 1, testbed: str = "transit-stub",
               seeds: int = 1, jobs: int = 1, sanitize: bool = False,
-              profile: bool = False, gc_policy: str = "tuned",
-              store_caches: bool = True) -> dict:
+              profile: bool = False, gc_policy: str = "tuned") -> dict:
     """Sweep the scenario grid and the kernel microbenchmark; return the summary.
 
-    For every ``(nodes, hosts, churn_rate)`` cell the scenario runs once per
-    kernel and the reports must be byte-identical (``mismatches`` collects
-    any divergence — a correctness failure, not a perf number).
-    ``hosts_list`` adds a host-count sweep dimension (``None`` = the
+    Every ``(nodes, hosts, churn_rate)`` cell runs the workload once per
+    seed.  ``hosts_list`` adds a host-count sweep dimension (``None`` = the
     workload's default of nodes/2); ``ctl_shards`` runs every scenario cell
-    with that many controller front-ends (the digest cross-check still
-    applies — shard count must never change workload results); ``testbed``
-    selects the environment preset every cell deploys on.  With
-    ``seeds > 1`` each cell runs once per root seed (``seed .. seed+N-1``)
-    and its row carries the across-seed mean ``events_per_sec`` plus a 95 %
-    CI half-width — the kernel digest cross-check then applies per seed.
+    with that many controller front-ends; ``testbed`` selects the
+    environment preset every cell deploys on.  With ``seeds > 1`` each cell
+    runs once per root seed (``seed .. seed+N-1``) and its row carries the
+    across-seed mean ``events_per_sec`` plus a 95 % CI half-width.
 
-    ``jobs > 1`` runs the flattened task list (grid cells x kernels x seeds,
-    then the microbench cells) on a process pool.  Each task seeds its own
+    ``jobs > 1`` runs the flattened task list (grid cells x seeds, then the
+    microbench cells) on a process pool.  Each task seeds its own
     simulator from pure descriptor data, so every deterministic column (see
     :data:`BENCH_TIMING_COLUMNS` for the exclusions) and every report digest
     is byte-identical with the serial run; only wall-clock-derived numbers
@@ -443,67 +437,47 @@ def run_bench(nodes_list: List[int], churn_rates: List[float],
             for rate in churn_rates:
                 script = synthetic_churn_script(duration=120.0, period=30.0,
                                                 fraction=rate) if rate > 0 else None
-                for kernel in kernels:
-                    for offset in range(seeds):
-                        kwargs = dict(nodes=nodes, hosts=hosts, seed=seed + offset,
-                                      churn_script=script, kernel=kernel,
-                                      ctl_shards=ctl_shards, testbed=testbed,
-                                      sanitize=sanitize, profile=profile,
-                                      gc_policy=gc_policy,
-                                      store_caches=store_caches)
-                        if spec.ops_param is not None:
-                            kwargs[spec.ops_param] = lookups
-                        tasks.append({"kind": "scenario", "workload": workload,
-                                      "kernel": kernel, "nodes": nodes,
-                                      "churn_rate": rate, "seed": seed + offset,
-                                      "runner_kwargs": kwargs})
+                for offset in range(seeds):
+                    kwargs = dict(nodes=nodes, hosts=hosts, seed=seed + offset,
+                                  churn_script=script, ctl_shards=ctl_shards,
+                                  testbed=testbed, sanitize=sanitize,
+                                  profile=profile, gc_policy=gc_policy)
+                    if spec.ops_param is not None:
+                        kwargs[spec.ops_param] = lookups
+                    tasks.append({"kind": "scenario", "workload": workload,
+                                  "nodes": nodes, "churn_rate": rate,
+                                  "seed": seed + offset,
+                                  "runner_kwargs": kwargs})
     # micro_duration <= 0 skips the kernel microbenchmark entirely
     micro_nodes = nodes_list if micro_duration > 0 else []
     for nodes in micro_nodes:
-        for kernel in kernels:
-            tasks.append({"kind": "micro", "kernel": kernel, "nodes": nodes,
-                          "duration": micro_duration})
+        tasks.append({"kind": "micro", "nodes": nodes,
+                      "duration": micro_duration})
 
     results = iter(_run_bench_tasks(tasks, jobs))
     rows: List[dict] = []
-    mismatches: List[str] = []
     for nodes in nodes_list:
         for hosts in hosts_sweep:
             for rate in churn_rates:
-                digests = {}
-                for kernel in kernels:
-                    per_seed = [next(results) for _ in range(seeds)]
-                    row = _aggregate_seed_rows(per_seed)
-                    row["jobs"] = jobs
-                    rows.append(row)
-                    digests[kernel] = tuple(r["report_digest"] for r in per_seed)
-                    ci = (f" ±{row['events_per_sec_ci95']:.0f}"
-                          if seeds > 1 else "")
-                    say(f"scenario workload={spec.name} testbed={testbed} "
-                        f"nodes={nodes} hosts={row['hosts']} churn={rate:g} "
-                        f"kernel={kernel} shards={ctl_shards} seeds={seeds}: "
-                        f"{row['events_per_sec']:.0f}{ci} ev/s, "
-                        f"success={row['success_rate']:.3f}, "
-                        f"wall={row['wall_sec']:.2f}s")
-                if len(set(digests.values())) > 1:
-                    mismatches.append(
-                        f"workload={spec.name} testbed={testbed} nodes={nodes} "
-                        f"hosts={hosts} churn={rate:g}: kernel reports "
-                        f"diverge {digests}")
+                row = _aggregate_seed_rows([next(results) for _ in range(seeds)])
+                row["jobs"] = jobs
+                rows.append(row)
+                ci = (f" ±{row['events_per_sec_ci95']:.0f}"
+                      if seeds > 1 else "")
+                say(f"scenario workload={spec.name} testbed={testbed} "
+                    f"nodes={nodes} hosts={row['hosts']} churn={rate:g} "
+                    f"shards={ctl_shards} seeds={seeds}: "
+                    f"{row['events_per_sec']:.0f}{ci} ev/s, "
+                    f"success={row['success_rate']:.3f}, "
+                    f"wall={row['wall_sec']:.2f}s")
     for nodes in micro_nodes:
-        per_kernel = {}
-        for kernel in kernels:
-            row = next(results)
-            row["jobs"] = jobs
-            rows.append(row)
-            per_kernel[kernel] = row["events_per_sec"]
-            say(f"kernel-timer-churn nodes={nodes} kernel={kernel}: "
-                f"{row['events_per_sec']:.0f} ev/s")
-        if "wheel" in per_kernel and "heap" in per_kernel and per_kernel["heap"]:
-            say(f"kernel-timer-churn nodes={nodes}: wheel/heap speedup "
-                f"{per_kernel['wheel'] / per_kernel['heap']:.2f}x")
+        row = next(results)
+        row["jobs"] = jobs
+        rows.append(row)
+        say(f"kernel-timer-churn nodes={nodes}: "
+            f"{row['events_per_sec']:.0f} ev/s")
 
-    summary = {
+    return {
         "bench": "kernel",
         "config": {
             "workload": workload,
@@ -511,7 +485,6 @@ def run_bench(nodes_list: List[int], churn_rates: List[float],
             "nodes": nodes_list,
             "hosts": hosts_list,
             "churn_rates": churn_rates,
-            "kernels": kernels,
             "ctl_shards": ctl_shards,
             "seed": seed,
             "seeds": seeds,
@@ -521,13 +494,9 @@ def run_bench(nodes_list: List[int], churn_rates: List[float],
             "sanitize": sanitize,
             "profile": profile,
             "gc_policy": gc_policy,
-            "store_caches": store_caches,
         },
         "rows": rows,
-        "speedups": _bench_speedups(rows),
-        "mismatches": mismatches,
     }
-    return summary
 
 
 # --------------------------------------------------------------------- scale
@@ -581,10 +550,9 @@ def scale_efficiency(rows: List[dict]) -> Optional[float]:
 
 
 def run_scale_bench(scales: Optional[List[int]] = None, jobs: int = 1,
-                    seed: int = 0, lookups: int = 100, kernel: str = "wheel",
+                    seed: int = 0, lookups: int = 100,
                     testbed: str = "transit-stub", quiet: bool = False,
-                    gc_policy: str = "tuned",
-                    store_caches: bool = True) -> dict:
+                    gc_policy: str = "tuned") -> dict:
     """The large-deployment profile: Chord at 1k/5k/10k nodes, peak RSS per cell.
 
     Every cell runs in a *fresh* pool worker (``max_tasks_per_child=1``,
@@ -596,9 +564,9 @@ def run_scale_bench(scales: Optional[List[int]] = None, jobs: int = 1,
     RSS (ceiling) — plus the scale-only ``scale_efficiency`` summary number
     (largest-over-smallest events/sec ratio) that ``--min-scale-efficiency``
     gates without needing a baseline file.  Join/settle windows grow with
-    log10(N) per :func:`scale_windows`; ``gc_policy``/``store_caches``
-    forward the perf knobs to every cell (results are byte-identical for
-    any setting — that is what the digest column proves).
+    log10(N) per :func:`scale_windows`; ``gc_policy`` is forwarded to
+    every cell (results are byte-identical for any setting — that is what
+    the digest column proves).
     """
     def say(text: str) -> None:
         if not quiet:
@@ -611,19 +579,17 @@ def run_scale_bench(scales: Optional[List[int]] = None, jobs: int = 1,
     for nodes in scale_list:
         join_window, settle = scale_windows(nodes)
         kwargs = dict(nodes=nodes, hosts=None, seed=seed, churn_script=None,
-                      kernel=kernel, ctl_shards=1, testbed=testbed,
-                      lookups=lookups, join_window=join_window,
-                      settle=settle, gc_policy=gc_policy,
-                      store_caches=store_caches)
-        tasks.append({"kind": "scale", "workload": "chord", "kernel": kernel,
-                      "nodes": nodes, "churn_rate": 0.0, "seed": seed,
+                      ctl_shards=1, testbed=testbed, lookups=lookups,
+                      join_window=join_window, settle=settle,
+                      gc_policy=gc_policy)
+        tasks.append({"kind": "scale", "workload": "chord", "nodes": nodes, "churn_rate": 0.0, "seed": seed,
                       "runner_kwargs": kwargs})
     rows = []
     for row in _run_bench_tasks(tasks, jobs, fresh_workers=True):
         row["seeds"] = 1
         row["jobs"] = jobs
         rows.append(row)
-        say(f"scale nodes={row['nodes']} hosts={row['hosts']} kernel={kernel}: "
+        say(f"scale nodes={row['nodes']} hosts={row['hosts']}: "
             f"{row['events_per_sec']:.0f} ev/s, wall={row['wall_sec']:.1f}s "
             f"(deploy={row['wall_deploy_s'] or 0:.1f}s "
             f"run={row['wall_run_s'] or 0:.1f}s "
@@ -641,7 +607,6 @@ def run_scale_bench(scales: Optional[List[int]] = None, jobs: int = 1,
             "workload": "chord",
             "testbed": testbed,
             "scales": scale_list,
-            "kernel": kernel,
             "seed": seed,
             "lookups": lookups,
             "join_window": SCALE_JOIN_WINDOW,
@@ -649,13 +614,10 @@ def run_scale_bench(scales: Optional[List[int]] = None, jobs: int = 1,
             "windows": {str(nodes): list(scale_windows(nodes))
                         for nodes in scale_list},
             "gc_policy": gc_policy,
-            "store_caches": store_caches,
             "jobs": jobs,
         },
         "rows": rows,
         "scale_efficiency": efficiency,
-        "speedups": _bench_speedups(rows),
-        "mismatches": [],
     }
 
 
@@ -673,7 +635,8 @@ def _bwalloc_step_bench(allocator: str, flows: int, mode: str, seed: int = 7,
     transfers with random endpoints, then measures the wall time of ``steps``
     churn steps (cancel one random flow, start a replacement — two rate
     recomputations each).  ``mode`` selects incremental component-walk
-    recomputation or the ``--bw-global`` brute force; the reported
+    recomputation or the global brute force
+    (``BandwidthModel.configure(incremental=False)``); the reported
     events/sec is *reallocations per second*, the number the incremental
     engine exists to raise.  Incremental cells also verify the final rate
     vector bit-identically matches a global recompute (``rates_match``) —
@@ -728,7 +691,7 @@ def _bwalloc_step_bench(allocator: str, flows: int, mode: str, seed: int = 7,
         "row_type": "bwalloc",
         "workload": "",
         "testbed": "",
-        "kernel": mode,
+        "recompute": mode,
         "nodes": flows,
         "hosts": host_count,
         "churn_rate": "",
@@ -806,7 +769,7 @@ def run_bwalloc_bench(allocators: Optional[List[str]] = None,
             "jobs": jobs,
         },
         "rows": rows,
-        "speedups": _bench_speedups(rows),
+        "speedups": {"bwalloc": _bwalloc_speedups(rows)},
         "mismatches": mismatches,
     }
 
@@ -821,39 +784,21 @@ def _bwalloc_speedup_failures(summary: dict, min_speedup: float) -> List[str]:
     return failures
 
 
-def _bench_speedups(rows: List[dict]) -> dict:
-    """Events/sec ratios keyed by row type and grid cell.
+def _bwalloc_speedups(rows: List[dict]) -> dict:
+    """Incremental-over-global reallocations/sec per ``bwalloc`` cell.
 
-    For scenario/kernel/scale rows the ratio is wheel over heap; for
-    ``bwalloc`` rows (whose ``kernel`` column carries the recomputation
-    mode) it is incremental over global — the number the allocation-step
-    CI leg gates.
+    The number the allocation-step CI leg gates, keyed by allocator and
+    flow count.
     """
-    speedups: dict = {"scenario": {}, "kernel": {}}
     by_cell: dict = {}
     for row in rows:
-        cell = (row["row_type"], row.get("workload", ""), row["nodes"],
-                row.get("hosts", ""), row.get("churn_rate", ""),
-                row.get("bw_alloc", ""))
-        by_cell.setdefault(cell, {})[row["kernel"]] = row["events_per_sec"]
-    for (row_type, workload, nodes, hosts, rate, bw_alloc), per_kernel in sorted(
-            by_cell.items(), key=str):
-        if row_type == "bwalloc":
-            if per_kernel.get("global"):
-                key = f"allocator={bw_alloc},flows={nodes}"
-                speedups.setdefault(row_type, {})[key] = round(
-                    per_kernel["incremental"] / per_kernel["global"], 3)
-            continue
-        if "wheel" in per_kernel and per_kernel.get("heap"):
-            key = f"nodes={nodes}"
-            if workload:
-                key = f"workload={workload}," + key
-            if hosts != "":
-                key += f",hosts={hosts}"
-            if rate != "":
-                key += f",churn={rate}"
-            speedups.setdefault(row_type, {})[key] = round(
-                per_kernel["wheel"] / per_kernel["heap"], 3)
+        cell = (row["bw_alloc"], row["nodes"])
+        by_cell.setdefault(cell, {})[row["recompute"]] = row["events_per_sec"]
+    speedups = {}
+    for (bw_alloc, flows), per_mode in sorted(by_cell.items(), key=str):
+        if per_mode.get("global"):
+            speedups[f"allocator={bw_alloc},flows={flows}"] = round(
+                per_mode["incremental"] / per_mode["global"], 3)
     return speedups
 
 
@@ -871,7 +816,10 @@ def check_bench_regression(summary: dict, baseline: dict,
     """Compare events/sec against a committed baseline (same grid cells only).
 
     Returns a list of human-readable failures for rows whose throughput
-    dropped more than ``tolerance`` below the baseline.  Multi-seed rows
+    dropped more than ``tolerance`` below the baseline.  Baseline rows the
+    run does not cover are skipped, but a run that matches *no* baseline row
+    fails: a grid or schema mismatch would otherwise pass having compared
+    nothing.  Multi-seed rows
     carry the across-seed *mean* in ``events_per_sec``, so that is what the
     gate compares (seed count is part of the cell signature: a 3-seed mean
     is only compared against a 3-seed baseline).  ``scale`` rows (whose
@@ -884,7 +832,7 @@ def check_bench_regression(summary: dict, baseline: dict,
         # is part of the key: rows are only comparable when they ran the
         # same experiment.
         return {(r["row_type"], r.get("workload", ""), r.get("testbed", ""),
-                 r["kernel"], r["nodes"],
+                 r.get("recompute", ""), r["nodes"],
                  r.get("hosts", ""), r.get("churn_rate", ""),
                  r.get("ctl_shards", ""), r.get("seeds", ""),
                  r.get("lookups_issued", ""), r.get("virtual_time", "")): r
@@ -892,10 +840,12 @@ def check_bench_regression(summary: dict, baseline: dict,
 
     current = index(summary.get("rows", []))
     failures: List[str] = []
+    compared = 0
     for key, base_row in index(baseline.get("rows", [])).items():
         row = current.get(key)
         if row is None:
             continue  # baseline covers a larger grid than this run
+        compared += 1
         base = base_row.get("events_per_sec") or 0.0
         seen = row.get("events_per_sec") or 0.0
         if base > 0 and seen < base * (1.0 - tolerance):
@@ -910,6 +860,10 @@ def check_bench_regression(summary: dict, baseline: dict,
                     f"{key}: peak RSS {seen_rss} KB is "
                     f"{100 * (seen_rss / base_rss - 1):.0f}% above baseline "
                     f"{base_rss} KB (tolerance {100 * rss_tolerance:.0f}%)")
+    if not compared:
+        failures.append("no baseline row matches a row of this run: the "
+                        "check compared nothing (different grid, workload, "
+                        "seeds or row schema)")
     return failures
 
 
@@ -942,8 +896,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--min-success", type=float,
                         default=spec.default_min_success,
                         help="exit non-zero below this measured success rate")
-    parser.add_argument("--kernel", choices=("wheel", "heap"), default="wheel",
-                        help="event-queue implementation (results are identical)")
     parser.add_argument("--ctl-shards", type=int, default=1, metavar="N",
                         help="controller front-ends sharing the job store "
                              "(results are identical for any N >= 1)")
@@ -957,10 +909,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser,
                         help="flow-level bandwidth allocation strategy "
                              f"({', '.join(allocator_names())}; the default "
                              "max-min keeps the historical digests)")
-    parser.add_argument("--bw-global", action="store_true",
-                        help="recompute every flow's rate on each change "
-                             "instead of only the changed flow's connected "
-                             "component (bit-identical results, slower)")
     parser.add_argument("--cdf", type=str, default=None, metavar="PATH",
                         help="write the measured latency CDF as "
                              "(latency_ms, fraction) CSV to PATH")
@@ -978,19 +926,11 @@ def _add_common_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--profile", action="store_true",
                         help="attribute wall time and event counts to kernel "
                              "callback sites; prints a top-N table")
-    parser.add_argument("--gc-policy", choices=("off", "tuned", "manual"),
-                        default="tuned",
+    parser.add_argument("--gc-policy", choices=GC_MODES, default="tuned",
                         help="host-interpreter GC discipline (repro.sim."
                              "gcpolicy): 'tuned' freezes the post-deploy "
-                             "heap and raises collector thresholds, "
-                             "'manual' additionally disables ambient "
-                             "collection and collects at drain checkpoints; "
+                             "heap and raises collector thresholds; "
                              "results are byte-identical for any setting")
-    parser.add_argument("--no-store-caches", action="store_true",
-                        help="disable the job store's incrementally "
-                             "maintained alive/live sets and bucketed "
-                             "placement (the O(N)-scan kill switch; "
-                             "bit-identical results, slower)")
     parser.add_argument("--log-level", choices=("DEBUG", "INFO", "WARN", "ERROR"),
                         default="INFO",
                         help="minimum severity the job's instances record")
@@ -1029,13 +969,12 @@ def _run_scenario_cli(spec: registry.ScenarioSpec, args: argparse.Namespace) -> 
                   churn=args.churn, churn_script=script, churn_trace=trace,
                   testbed=args.testbed,
                   join_window=args.join_window, settle=args.settle,
-                  kernel=args.kernel, duration=args.duration,
+                  duration=args.duration,
                   ctl_shards=args.ctl_shards, sanitize=args.sanitize,
                   metrics=args.metrics or bool(args.metrics_out),
                   trace_out=args.trace_out, profile=args.profile,
                   log_level=args.log_level, bw_alloc=args.bw_alloc,
-                  bw_global=args.bw_global, gc_policy=args.gc_policy,
-                  store_caches=not args.no_store_caches)
+                  gc_policy=args.gc_policy)
     kwargs.update(spec.make_kwargs(args))
     report = spec.runner(**kwargs)
     _print_report(report, spec)
@@ -1117,8 +1056,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         spec.add_arguments(scenario_parser)
 
     bench = sub.add_parser(
-        "bench", help="sweep nodes x churn-rate (x hosts) grids over both "
-                      "kernels and emit CSV + JSON perf numbers")
+        "bench", help="sweep nodes x churn-rate (x hosts) grids and emit "
+                      "CSV + JSON perf numbers")
     bench.add_argument("--workload", choices=registry.scenario_names(),
                        default="chord", help="registered workload to sweep")
     bench.add_argument("--nodes", type=int, nargs="+", default=[50, 100, 200],
@@ -1130,8 +1069,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench.add_argument("--churn-rates", type=float, nargs="+", default=[0.0, 0.05],
                        help="fraction of live nodes replaced every 30s "
                             "(0 disables churn)")
-    bench.add_argument("--kernels", choices=("wheel", "heap"), nargs="+",
-                       default=["wheel", "heap"], help="kernels to compare")
     bench.add_argument("--ctl-shards", type=int, default=1, metavar="N",
                        help="controller front-ends per scenario run")
     bench.add_argument("--testbed", choices=testbed_names(),
@@ -1162,15 +1099,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="fail (exit 4) when the --scale sweep's "
                             "largest-over-smallest events/sec ratio is "
                             "below RATIO (baseline-free flatness gate)")
-    bench.add_argument("--gc-policy", choices=("off", "tuned", "manual"),
-                       default="tuned",
+    bench.add_argument("--gc-policy", choices=GC_MODES, default="tuned",
                        help="GC discipline for every scenario/scale cell "
                             "(digests are unchanged)")
-    bench.add_argument("--no-store-caches", action="store_true",
-                       help="run every scenario/scale cell with the job "
-                            "store's cached alive/live sets disabled "
-                            "(measures the O(N)-scan kill switch; digests "
-                            "are unchanged)")
     bench.add_argument("--bwalloc", action="store_true",
                        help="allocation-step profile instead of the grid: "
                             "flow churn against standalone bandwidth models, "
@@ -1229,13 +1160,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif args.scale:
             summary = run_scale_bench(scales=args.scales, jobs=args.jobs,
                                       seed=args.seed, lookups=args.lookups,
-                                      kernel=args.kernels[0],
                                       testbed=args.testbed, quiet=args.quiet,
-                                      gc_policy=args.gc_policy,
-                                      store_caches=not args.no_store_caches)
+                                      gc_policy=args.gc_policy)
         else:
             summary = run_bench(nodes_list=args.nodes, churn_rates=args.churn_rates,
-                                kernels=list(dict.fromkeys(args.kernels)),
                                 seed=args.seed,
                                 lookups=args.lookups,
                                 micro_duration=args.micro_duration,
@@ -1245,19 +1173,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 testbed=args.testbed, seeds=args.seeds,
                                 jobs=args.jobs, sanitize=args.sanitize,
                                 profile=args.profile,
-                                gc_policy=args.gc_policy,
-                                store_caches=not args.no_store_caches)
+                                gc_policy=args.gc_policy)
         write_bench_csv(csv_path, summary["rows"])
         with open(json_path, "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"bench: wrote {len(summary['rows'])} rows to {csv_path} "
               f"and summary to {json_path}")
-        for row_type, ratios in summary["speedups"].items():
+        for row_type, ratios in summary.get("speedups", {}).items():
             for cell, ratio in ratios.items():
                 print(f"speedup[{row_type}] {cell}: {ratio:.2f}x")
         status = 0
-        if summary["mismatches"]:
+        if summary.get("mismatches"):
             for line in summary["mismatches"]:
                 print(f"DETERMINISM FAIL: {line}", file=sys.stderr)
             status = 3

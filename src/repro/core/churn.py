@@ -305,10 +305,6 @@ class ChurnManager:
         self._started = False
 
     # ----------------------------------------------------------------- setup
-    def load_script(self, text: str) -> List[ChurnAction]:
-        self.actions = parse_churn_script(text)
-        return self.actions
-
     def load_actions(self, actions: List[ChurnAction]) -> None:
         """Replay a pre-built (e.g. trace-derived) action list."""
         self.actions = sorted(actions, key=lambda a: a.time)

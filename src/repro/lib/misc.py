@@ -9,7 +9,6 @@ the framework are implemented here.
 from __future__ import annotations
 
 import re
-from typing import Dict
 
 from repro.lib.ring import between as between  # re-exported, mirrors misc.between_c
 
@@ -30,22 +29,3 @@ def parse_duration(text: str | float | int) -> float:
         raise ValueError(f"cannot parse duration: {text!r}")
     value, unit = match.groups()
     return float(value) * _DURATION_FACTORS[unit]
-
-
-class Counter:
-    """A tiny labelled counter map (stats aggregation helper)."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, float] = {}
-
-    def add(self, label: str, amount: float = 1.0) -> None:
-        self._counts[label] = self._counts.get(label, 0.0) + amount
-
-    def get(self, label: str) -> float:
-        return self._counts.get(label, 0.0)
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self._counts)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Counter({self._counts})"

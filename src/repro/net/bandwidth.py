@@ -153,10 +153,6 @@ class BandwidthModel:
     def allocator_name(self) -> str:
         return self._allocator.name
 
-    @property
-    def incremental(self) -> bool:
-        return self._incremental
-
     # ------------------------------------------------------------- capacities
     def set_capacity(self, ip: str, uplink_bps: Optional[float], downlink_bps: Optional[float]) -> None:
         """Set the access-link capacities of host ``ip`` (``None`` = unlimited)."""
@@ -228,10 +224,6 @@ class BandwidthModel:
     @property
     def active_transfers(self) -> int:
         return len(self._active)
-
-    def current_rate(self, transfer: Transfer) -> float:
-        """The instantaneous allocated rate of ``transfer`` in bits/second."""
-        return transfer.rate_bps
 
     # --------------------------------------------------------------- internals
     def _advance_progress(self) -> None:

@@ -199,7 +199,7 @@ class MaxMinAllocator(BandwidthAllocator):
 
     Priority-blind: every flow weighs the same.  Byte-identical to the
     pre-refactor ``BandwidthModel._max_min_fair_rates`` — the churning-chord
-    digest-parity test pins that equivalence on both kernels.
+    digest-parity test pins that equivalence (tests/test_bwalloc.py).
     """
 
     name = "max-min"

@@ -35,10 +35,5 @@ class Message:
     priority: int = LOOKUP
     msg_id: int = field(default_factory=_msg_counter.__next__)
 
-    def reply_to(self, payload: Any, size: int, kind: str = "reply") -> "Message":
-        """Build a response message addressed back to the sender."""
-        return Message(src=self.dst, dst=self.src, payload=payload, size=size,
-                       kind=kind, priority=self.priority)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Message #{self.msg_id} {self.kind} {self.src}->{self.dst} {self.size}B>"

@@ -140,9 +140,6 @@ class Network:
     def host(self, ip: str) -> Any:
         return self.hosts[ip]
 
-    def has_host(self, ip: str) -> bool:
-        return ip in self.hosts
-
     def host_alive(self, ip: str) -> bool:
         host = self.hosts.get(ip)
         return bool(host is not None and getattr(host, "alive", True))
@@ -170,9 +167,6 @@ class Network:
     def is_listening(self, address: Address) -> bool:
         listener = self._listeners.get((address.ip, address.port))
         return listener is not None and listener.alive
-
-    def used_ports(self, ip: str) -> List[int]:
-        return sorted(k[1] for k in self._listeners if k[0] == ip)
 
     # ------------------------------------------------------------------ send
     def send(self, src: Address, dst: Address, payload: Any, size: int,

@@ -160,13 +160,6 @@ class TransitStubTopology:
         self._delay_cache[src_node] = row
         return row
 
-    def path_hops(self, src_node: int, dst_node: int) -> int:
-        """Number of topology hops on the delay-shortest path."""
-        if src_node == dst_node:
-            return 0
-        path = nx.dijkstra_path(self.graph, src_node, dst_node, weight="delay")
-        return len(path) - 1
-
     def attach_hosts(self, ips: Iterable[str], seed: int = 1) -> Dict[str, int]:
         """Assign each host IP to a stub node, round-robin over a shuffled list.
 

@@ -6,7 +6,7 @@ is rendered oldest-to-newest so CI logs show *what the simulation was doing*
 right before the failure — with the per-event ``origin`` provenance stamped
 by the sanitizer or tracer.
 
-The ring must never pin ``ScheduledEvent`` objects: the kernels recycle
+The ring must never pin ``ScheduledEvent`` objects: the kernel recycles
 fired events through a free list gated on ``sys.getrefcount``, so holding a
 reference would silently disable recycling (see ``sim/sanitizer.py``).
 Entries therefore store plain tuples of scalars plus the *callback* object

@@ -63,24 +63,18 @@ class Controller:
     log_queue_depth / log_drain_interval:
         Bounds of each per-job log collector queue (drop-oldest when full)
         and the delay of its drain event.
-    store_caches:
-        Keep the store's memoized alive/failed host views and the bucketed
-        placement planner on (the default).  ``False`` is the kill switch
-        that restores from-scratch recomputes — byte-identical reports, used
-        by the digest-parity tests.
     """
 
     def __init__(self, sim: Simulator, network: Network, seed: Optional[int] = None,
                  shards: int = 1, log_queue_depth: int = 4096,
-                 log_drain_interval: float = 0.25, store_caches: bool = True):
+                 log_drain_interval: float = 0.25):
         if shards < 1:
             raise ControllerError("a controller needs at least one shard")
         self.sim = sim
         self.network = network
         self.store = JobStore(sim, network, seed=seed,
                               log_queue_depth=log_queue_depth,
-                              log_drain_interval=log_drain_interval,
-                              caches=store_caches)
+                              log_drain_interval=log_drain_interval)
         self.shards: List[CtlShard] = [CtlShard(self.store, i) for i in range(shards)]
         self._register_rr = 0
         self._claim_rr = 0

@@ -136,8 +136,7 @@ class JobStore:
     """
 
     def __init__(self, sim: Simulator, network: Network, seed: Optional[int] = None,
-                 log_queue_depth: int = 4096, log_drain_interval: float = 0.25,
-                 caches: bool = True):
+                 log_queue_depth: int = 4096, log_drain_interval: float = 0.25):
         self.sim = sim
         self.network = network
         self.seed = seed if seed is not None else sim.seed
@@ -167,11 +166,9 @@ class JobStore:
         # control-plane events per run — while the views are consulted on
         # every placement, churn action and status call; recomputing them
         # per call is an O(hosts) (or O(hosts log hosts)) cost per event at
-        # 10k nodes.  ``caches=False`` is the kill switch that restores the
-        # from-scratch recompute everywhere (digest-parity oracle; see
-        # tests/test_gcpolicy_caches.py), and the sanitizer cross-checks the
-        # cached views after every control action.
-        self.caches_enabled = caches
+        # 10k nodes.  The from-scratch recompute survives as the reference
+        # in tests/test_gcpolicy_caches.py, and the sanitizer cross-checks
+        # the cached views after every control action.
         self._alive_daemons_cache: Optional[List[Splayd]] = None
         self._alive_ips_cache: Optional[List[str]] = None
         self._failed_ips_cache: Optional[List[str]] = None
@@ -241,8 +238,6 @@ class JobStore:
 
     def alive_daemons(self) -> List[Splayd]:
         """Alive daemons in registration order (memoized; do not mutate)."""
-        if not self.caches_enabled:
-            return [d for d in self.daemons.values() if d.alive]
         cache = self._alive_daemons_cache
         if cache is None:
             cache = [d for d in self.daemons.values() if d.alive]
@@ -251,8 +246,6 @@ class JobStore:
 
     def alive_host_ips(self) -> List[str]:
         """Sorted alive-host ips (memoized; do not mutate)."""
-        if not self.caches_enabled:
-            return sorted(ip for ip, daemon in self.daemons.items() if daemon.alive)
         cache = self._alive_ips_cache
         if cache is None:
             cache = sorted(ip for ip, daemon in self.daemons.items() if daemon.alive)
@@ -261,9 +254,6 @@ class JobStore:
 
     def failed_host_ips(self) -> List[str]:
         """Sorted failed-host ips (memoized; do not mutate)."""
-        if not self.caches_enabled:
-            return sorted(ip for ip, daemon in self.daemons.items()
-                          if not daemon.alive)
         cache = self._failed_ips_cache
         if cache is None:
             cache = sorted(ip for ip, daemon in self.daemons.items()
@@ -328,42 +318,24 @@ class JobStore:
     def plan_placements(self, job: Job, count: int) -> List[Tuple[Splayd, int]]:
         """Select hosts for ``count`` new instances (no side effects yet).
 
-        Selection is uniform over alive daemons with spare capacity,
-        re-evaluated per instance with the instances planned so far counted
-        against each daemon's free slots — the exact sequence the monolithic
-        controller produced by spawning one instance at a time, but without
-        touching the daemons, so the plan can then be executed in batches.
-        Fewer than ``count`` placements are returned when capacity runs out.
-        Instance ids come from the job's never-reused allocator, so a spawn
-        that later fails leaves a gap instead of letting a future plan hand
-        a live instance's id to a second node.
-        """
-        if self.caches_enabled:
-            return self._plan_placements_bucketed(job, count)
-        plan: List[Tuple[Splayd, int]] = []
-        pending: Dict[str, int] = {}
-        for _ in range(count):
-            daemon = self._select_daemon(pending)
-            if daemon is None:
-                break
-            plan.append((daemon, job.allocate_instance_id()))
-            pending[daemon.ip] = pending.get(daemon.ip, 0) + 1
-        return plan
+        Selection is uniform over the alive daemons with the fewest
+        instances (planned ones included), re-evaluated per instance, with
+        ties broken by one RNG draw over the ip-sorted pool — the exact
+        sequence the monolithic controller produced by spawning one instance
+        at a time, but without touching the daemons, so the plan can then be
+        executed in batches.  Fewer than ``count`` placements are returned
+        when capacity runs out.  Instance ids come from the job's never-reused
+        allocator, so a spawn that later fails leaves a gap instead of letting
+        a future plan hand a live instance's id to a second node.
 
-    def _plan_placements_bucketed(self, job: Job, count: int) -> List[Tuple[Splayd, int]]:
-        """Load-bucketed planner: same plan as :meth:`_select_daemon`, not O(N) per pick.
-
-        The naive planner rebuilds and re-sorts the full candidate list per
-        instance — O(N·H log H) for a whole-deployment plan, the dominant
-        deploy-phase cost at 10k nodes.  Bucketing daemons by load turns each
-        pick into O(1) amortized: draw from the minimum-load bucket, promote
-        the chosen daemon to the next one.  No simulator event runs between
-        picks, so daemon liveness and true loads cannot shift mid-plan.
-
-        Byte-identical to the naive path by construction: the min-load bucket
-        ip-sorted *is* the naive pool, and ``randrange(len(pool))`` consumes
-        the RNG exactly like ``choice(pool)`` (both make one ``_randbelow``
-        call) — asserted against the naive plan in tests/test_gcpolicy_caches.py.
+        Daemons are bucketed by load, so each pick is O(1) amortized: draw
+        from the minimum-load bucket, promote the chosen daemon to the next
+        one.  No simulator event runs between picks, so daemon liveness and
+        true loads cannot shift mid-plan.  The plan is byte-identical to
+        re-sorting every candidate per pick (the reference planner in
+        tests/test_gcpolicy_caches.py): the min-load bucket ip-sorted *is*
+        that pool, and ``randrange(len(pool))`` consumes the RNG exactly like
+        ``choice(pool)`` (both make one ``_randbelow`` call).
         """
         plan: List[Tuple[Splayd, int]] = []
         buckets: Dict[int, List[Splayd]] = {}
@@ -404,23 +376,6 @@ class JobStore:
                 dirty.add(new_load)
                 available += 1
         return plan
-
-    def _select_daemon(self, pending: Dict[str, int]) -> Optional[Splayd]:
-        candidates = []
-        for daemon in self.alive_daemons():
-            load = len(daemon.instances) + pending.get(daemon.ip, 0)
-            if daemon.limits.max_instances is not None and \
-                    load >= daemon.limits.max_instances:
-                continue
-            candidates.append((load, daemon))
-        if not candidates:
-            return None
-        # Prefer emptier daemons (balanced placement) with a random tiebreak,
-        # keyed on ip so the choice is stable across runs with one seed.
-        candidates.sort(key=lambda entry: (entry[0], entry[1].ip))
-        emptiest = candidates[0][0]
-        pool = [daemon for load, daemon in candidates if load == emptiest]
-        return self._rng.choice(pool)
 
 
 def _daemon_ip(daemon: Splayd) -> str:

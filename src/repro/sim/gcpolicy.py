@@ -1,4 +1,4 @@
-"""GC discipline for large deployments: freeze, tune, or take over collection.
+"""GC discipline for large deployments: raise thresholds, then freeze.
 
 CPython's cyclic collector is generational, but every full (gen2) collection
 walks the *entire* tracked heap.  A 10k-node deployment keeps millions of
@@ -16,23 +16,17 @@ policy instead of the interpreter default:
   ``gc.collect()`` + ``gc.freeze()`` once the job is running: the
   deployment's long-lived graph moves to the permanent generation, which
   ambient collections never scan again.
-* ``manual`` — everything ``tuned`` does, plus ``gc.disable()``: ambient
-  collection is replaced entirely by explicit young-generation collects at
-  deterministic sim-time checkpoints (the harness's drain slices and phase
-  boundaries) and one full collect when the policy disengages.
 
 Determinism contract: the policy never schedules simulator events, draws no
 randomness and mutates no simulation state — collection only reclaims
 unreachable cycles, which no live object can observe.  Report digests are
 therefore byte-identical for every mode (asserted by
-``tests/test_gcpolicy.py`` across all four workloads and both kernels);
-the policy's own counters land in the digest-excluded ``gc`` report
-section and, when observability is on, in the metrics plane.
+``tests/test_gcpolicy_caches.py`` across all four workloads, on the
+kernel and on its heap reference); the policy's own counters land in the
+digest-excluded ``gc`` report section and, when observability is on, in
+the metrics plane.
 
-Public entry points: :class:`GCPolicy` and :data:`GC_MODES`.  The harness
-installs the policy on ``sim._gcpolicy`` (one attribute, like ``_san`` and
-``_obs``) so :func:`repro.apps.harness.drain` can run checkpoints without
-new plumbing through every driver.
+Public entry points: :class:`GCPolicy` and :data:`GC_MODES`.
 """
 
 from __future__ import annotations
@@ -41,10 +35,10 @@ import gc
 import time
 from typing import Any, List, Optional
 
-#: accepted ``--gc-policy`` values, in increasing interventionism
-GC_MODES = ("off", "tuned", "manual")
+#: accepted ``--gc-policy`` values
+GC_MODES = ("off", "tuned")
 
-#: generation thresholds used while a tuned/manual policy is engaged.  The
+#: generation thresholds used while a tuned policy is engaged.  The
 #: interpreter default (700, 10, 10) makes the collector run thousands of
 #: young collections during a mass deployment; a 50k allocation budget per
 #: gen0 pass keeps collection off the hot path without letting true garbage
@@ -52,7 +46,7 @@ GC_MODES = ("off", "tuned", "manual")
 TUNED_THRESHOLDS = (50_000, 25, 25)
 
 #: profiler site label explicit collects are charged to (``--profile``)
-PROFILE_SITE = "repro.sim.gcpolicy:GCPolicy.checkpoint"
+PROFILE_SITE = "repro.sim.gcpolicy:GCPolicy.after_deploy"
 
 
 class GCPolicy:
@@ -61,9 +55,8 @@ class GCPolicy:
     Lifecycle: construct with a mode, :meth:`engage` before the substrate
     is built (thresholds go up so deployment does not thrash the young
     generations), :meth:`after_deploy` once the job is running (collect +
-    freeze, and ``gc.disable()`` under ``manual``), :meth:`checkpoint` at
-    deterministic sim-time points during the run, and :meth:`disengage`
-    before reporting (restores the interpreter's prior configuration).
+    freeze), and :meth:`disengage` before reporting, or when the deployment
+    fails (restores the interpreter's prior configuration).
     Every step is idempotent and ``off`` turns them all into no-ops, so
     call sites never need mode conditionals.
     """
@@ -75,7 +68,7 @@ class GCPolicy:
         self.mode = mode
         self.engaged = False
         self.frozen = False
-        #: explicit collects run by :meth:`checkpoint`/:meth:`disengage`
+        #: explicit collects run by :meth:`after_deploy`
         self.explicit_collects = 0
         #: objects reclaimed by explicit collects
         self.collected_objects = 0
@@ -85,7 +78,6 @@ class GCPolicy:
         #: objects moved to the permanent generation by the post-deploy freeze
         self.frozen_objects = 0
         self._saved_thresholds: Optional[tuple] = None
-        self._saved_enabled: Optional[bool] = None
         self._stats_at_engage: Optional[List[dict]] = None
         #: profiler hook (set by the harness when ``--profile`` is on) —
         #: pauses are charged to :data:`PROFILE_SITE` like any callback site
@@ -93,63 +85,39 @@ class GCPolicy:
 
     # -------------------------------------------------------------- lifecycle
     def engage(self) -> "GCPolicy":
-        """Raise thresholds for the deployment phase (tuned/manual only)."""
+        """Raise thresholds for the deployment phase (tuned only)."""
         if self.mode == "off" or self.engaged:
             return self
         self.engaged = True
         self._saved_thresholds = gc.get_threshold()
-        self._saved_enabled = gc.isenabled()
         self._stats_at_engage = gc.get_stats()
         gc.set_threshold(*TUNED_THRESHOLDS)
         return self
 
     def after_deploy(self) -> None:
-        """Collect once, freeze the deployed object graph, go manual if asked.
+        """Collect once and freeze the deployed object graph.
 
         Everything alive at this point — the topology, daemons, instances
         and application state — stays alive for the whole run; freezing it
-        moves it to the permanent generation so no ambient (or checkpoint)
-        collection ever scans it again.
+        moves it to the permanent generation so no ambient collection ever
+        scans it again.
         """
         if self.mode == "off" or not self.engaged or self.frozen:
             return
-        before = len(gc.get_objects())
         self._timed_collect(2)
         gc.freeze()
         self.frozen = True
         self.frozen_objects = gc.get_freeze_count()
-        del before
-        if self.mode == "manual":
-            gc.disable()
-
-    def checkpoint(self) -> None:
-        """One deterministic-sim-time explicit collect (manual mode only).
-
-        Young generations only: the post-deploy graph is frozen, so this
-        scans just the objects allocated since the last checkpoint — cost
-        proportional to recent allocation, never to deployment size.
-        """
-        if self.mode != "manual" or not self.frozen:
-            return
-        self._timed_collect(1)
 
     def disengage(self) -> None:
         """Restore the interpreter's prior GC configuration (idempotent)."""
         if not self.engaged:
             return
-        if self.mode == "manual":
-            # One full sweep picks up every cycle created while ambient
-            # collection was off, so nothing leaks past the deployment.
-            self._timed_collect(2)
         if self.frozen:
             gc.unfreeze()
             self.frozen = False
         if self._saved_thresholds is not None:
             gc.set_threshold(*self._saved_thresholds)
-        if self._saved_enabled:
-            gc.enable()
-        elif self._saved_enabled is not None:
-            gc.disable()
         self.engaged = False
 
     # ------------------------------------------------------------- accounting

@@ -6,33 +6,28 @@ it.  Determinism is guaranteed by a monotonically increasing sequence number
 used to break ties between events scheduled for the same instant, and by the
 simulator-owned random number generator.
 
-Two interchangeable kernels implement the event queue:
+The event queue is a timer wheel tuned for the dominant short-delay periodic
+events (RPC timeouts, stabilization rounds, churn ticks).  Four structures
+cooperate, all ordered by the exact ``(time, seq)`` key, so events execute in
+exactly the order a single binary heap would give them:
 
-``kernel="wheel"`` (default)
-    A timer wheel tuned for the dominant short-delay periodic events (RPC
-    timeouts, stabilization rounds, churn ticks).  Four structures cooperate,
-    all ordered by the exact ``(time, seq)`` key so the execution order is
-    byte-identical to the heap kernel:
+* a *ready* deque — events scheduled for the current instant
+  (``delay == 0``, the process-step hot path).  Appends are naturally
+  sorted because both the clock and the sequence counter are monotonic,
+  so no heap operation is ever needed for them;
+* a *cursor* heap — events belonging to wheel buckets the clock has
+  already reached;
+* the *wheel* — one unsorted bucket per tick for events within the
+  horizon (``wheel_tick * wheel_slots`` seconds).  Insertion is an O(1)
+  list append; cancelled events are purged in bulk when their bucket is
+  loaded into the cursor;
+* an *overflow* heap for far-future events (beyond the horizon), with
+  lazy compaction once cancelled entries dominate.
 
-    * a *ready* deque — events scheduled for the current instant
-      (``delay == 0``, the process-step hot path).  Appends are naturally
-      sorted because both the clock and the sequence counter are monotonic,
-      so no heap operation is ever needed for them;
-    * a *cursor* heap — events belonging to wheel buckets the clock has
-      already reached;
-    * the *wheel* — one unsorted bucket per tick for events within the
-      horizon (``wheel_tick * wheel_slots`` seconds).  Insertion is an O(1)
-      list append; cancelled events are purged in bulk when their bucket is
-      loaded into the cursor;
-    * an *overflow* heap for far-future events (beyond the horizon), with
-      lazy compaction once cancelled entries dominate.
-
-``kernel="heap"``
-    The original binary-heap kernel, kept as a faithful baseline for
-    ``scenarios bench`` comparisons.
-
-Both kernels maintain an O(1) pending-event counter (the heap kernel used to
-scan the whole queue on every :attr:`Simulator.pending_events` read).
+The original binary-heap kernel is kept as a test-only reference
+(``HeapSimulator`` in ``tests/heap_kernel.py``); the kernel and scenario
+tests assert both execute identical traces.  The pending-event counter is
+O(1).
 """
 
 from __future__ import annotations
@@ -109,11 +104,6 @@ class Simulator:
         models (latency jitter, loss, host load, workloads) must draw either
         from :attr:`rng` or from a substream derived via
         :func:`repro.sim.rng.substream` so that runs are reproducible.
-    kernel:
-        ``"wheel"`` (timer wheel + overflow heap, default) or ``"heap"``
-        (the original binary-heap kernel).  Both execute events in exactly
-        the same ``(time, seq)`` order, so results are byte-identical; the
-        wheel is simply faster on timer-churn-heavy workloads.
     wheel_tick / wheel_slots:
         Bucket granularity and count of the timer wheel.  The horizon
         (``wheel_tick * wheel_slots``) should cover the common delays (RPC
@@ -121,14 +111,10 @@ class Simulator:
         overflow heap.
     """
 
-    def __init__(self, seed: int = 0, kernel: str = "wheel",
-                 wheel_tick: float = 0.05, wheel_slots: int = 4096):
-        if kernel not in ("wheel", "heap"):
-            raise ValueError(f"unknown kernel: {kernel!r} (expected 'wheel' or 'heap')")
+    def __init__(self, seed: int = 0, wheel_tick: float = 0.05,
+                 wheel_slots: int = 4096):
         if wheel_tick <= 0 or wheel_slots < 2:
             raise ValueError("wheel_tick must be positive and wheel_slots >= 2")
-        self.kernel = kernel
-        self._use_wheel = kernel == "wheel"
         self._now: float = 0.0
         self._seq: int = 0
         self._stop_requested = False
@@ -149,9 +135,6 @@ class Simulator:
         self._pending = 0
         self._epoch = 0
         self._next_pid = 0
-        # --- heap kernel state
-        self._heap: list[ScheduledEvent] = []
-        # --- wheel kernel state
         self._tick = float(wheel_tick)
         self._inv_tick = 1.0 / float(wheel_tick)
         # rounded up to a power of two so slot indexing is a mask, not a modulo
@@ -159,7 +142,7 @@ class Simulator:
         self._slot_mask = self._slots - 1
         self._ready: deque = deque()
         self._cursor: list = []
-        self._wheel: list[list] = [[] for _ in range(self._slots)] if kernel == "wheel" else []
+        self._wheel: list[list] = [[] for _ in range(self._slots)]
         self._wheel_count = 0
         self._cur_tick = 0
         self._overflow: list = []
@@ -180,10 +163,6 @@ class Simulator:
         #: origin-stamping hook (obs tracing only; the sanitizer stamps
         #: through its own note_scheduled when both are installed)
         self._obs_stamp = None
-        #: GC discipline (repro.sim.gcpolicy.GCPolicy) or None — the
-        #: harness's drain loop runs explicit-collect checkpoints through
-        #: this pointer; never consulted on the event hot path
-        self._gcpolicy = None
 
     # ------------------------------------------------------------------ time
     @property
@@ -255,9 +234,6 @@ class Simulator:
         elif self._obs_stamp is not None:
             self._obs_stamp(event)
         self._pending += 1
-        if not self._use_wheel:
-            heappush(self._heap, event)
-            return event
         if when == self._now:
             # Hot path: process steps / future resumptions scheduled "now".
             # The deque stays sorted because time and seq are both monotonic.
@@ -421,22 +397,6 @@ class Simulator:
         Returns ``True`` if an event was executed, ``False`` if the event
         queue was empty (cancelled events are skipped transparently).
         """
-        if not self._use_wheel:
-            heap = self._heap
-            free = self._free
-            while heap:
-                event = heappop(heap)
-                if event.cancelled:
-                    # refs: the event local + getrefcount's argument.
-                    if _getrefcount is not None and _getrefcount(event) == 2 \
-                            and len(free) < _FREE_LIST_MAX:
-                        event.callback = None
-                        event.args = ()
-                        free.append(event)
-                    continue
-                self._execute(event)
-                return True
-            return False
         event = self._pop_next_wheel()
         if event is None:
             return False
@@ -477,35 +437,9 @@ class Simulator:
         self._stop_requested = False
         self._running = True
         try:
-            if not self._use_wheel:
-                return self._run_heap(until)
             return self._run_wheel(until)
         finally:
             self._running = False
-
-    def _run_heap(self, until: Optional[float]) -> float:
-        heap = self._heap
-        free = self._free
-        while heap and not self._stop_requested:
-            head = heap[0]
-            if head.cancelled:
-                heappop(heap)
-                # refs: the head local + getrefcount's argument.
-                if _getrefcount is not None and _getrefcount(head) == 2 \
-                        and len(free) < _FREE_LIST_MAX:
-                    head.callback = None
-                    head.args = ()
-                    free.append(head)
-                continue
-            if until is not None and head.time > until:
-                self._now = until
-                return self._now
-            heappop(heap)
-            self._execute(head)
-        if not heap and not self._stop_requested:
-            if until is not None and self._now < until:
-                self._now = until
-        return self._now
 
     def _run_wheel(self, until: Optional[float]) -> float:
         ready = self._ready
@@ -592,17 +526,15 @@ class Simulator:
         self._epoch += 1
         self._cleared_events += self._pending
         self._pending = 0
-        self._heap.clear()
         self._ready.clear()
         self._cursor.clear()
-        if self._use_wheel:
-            if self._wheel_count:
-                self._wheel = [[] for _ in range(self._slots)]
-            self._wheel_count = 0
-            self._cur_tick = self._bucket_of(self._now)
+        if self._wheel_count:
+            self._wheel = [[] for _ in range(self._slots)]
+        self._wheel_count = 0
+        self._cur_tick = self._bucket_of(self._now)
         self._overflow.clear()
         self._overflow_ghosts = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Simulator kernel={self.kernel} now={self._now:.6f} "
+        return (f"<Simulator now={self._now:.6f} "
                 f"pending={self.pending_events}>")

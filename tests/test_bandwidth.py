@@ -1,6 +1,7 @@
 """Bandwidth model: max-min fairness and transfer accounting."""
 
 import pytest
+from heap_kernel import KERNELS, make_simulator
 
 from repro.net.bandwidth import BandwidthModel
 from repro.sim.kernel import Simulator
@@ -137,7 +138,7 @@ def test_transfer_progress_and_duration_accounting():
     assert transfer.duration_so_far(0.5) == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_bytes_transferred_accrues_between_rate_recomputes(kernel):
     """Regression: the settled byte count only moves when rates change.
 
@@ -146,7 +147,7 @@ def test_bytes_transferred_accrues_between_rate_recomputes(kernel):
     completion interval.  Passing ``now`` extrapolates along the current
     rate from the last settlement and clamps at the transfer size.
     """
-    sim = Simulator(0, kernel=kernel)
+    sim = make_simulator(kernel)
     bw = BandwidthModel(sim)
     bw.set_capacity("A", 8_000_000, None)  # 1 MB/s
     transfer = bw.transfer("A", "B", 2_000_000)
@@ -164,7 +165,7 @@ def test_bytes_transferred_accrues_between_rate_recomputes(kernel):
     assert transfer.bytes_transferred(sim.now + 60.0) == transfer.total_bytes
 
 
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_cancellation_from_completion_callback_mid_recompute(kernel):
     """A completion callback cancelling another flow re-enters _reallocate.
 
@@ -172,7 +173,7 @@ def test_cancellation_from_completion_callback_mid_recompute(kernel):
     future's callbacks fire; the nested cancel must not corrupt the flow
     table, double-count, or strand the bystander flow.
     """
-    sim = Simulator(0, kernel=kernel)
+    sim = make_simulator(kernel)
     bw = BandwidthModel(sim)
     bw.set_capacity("A", 8_000_000, None)
     short = bw.transfer("A", "B", 500_000)
@@ -189,9 +190,9 @@ def test_cancellation_from_completion_callback_mid_recompute(kernel):
     assert bw.bytes_completed == short.total_bytes + bystander.total_bytes
 
 
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_zero_byte_transfer_completes_immediately(kernel):
-    sim = Simulator(0, kernel=kernel)
+    sim = make_simulator(kernel)
     bw = BandwidthModel(sim)
     bw.set_capacity("A", 8_000_000, None)
     empty = bw.transfer("A", "B", 0)
@@ -208,15 +209,15 @@ def test_zero_byte_transfer_completes_immediately(kernel):
     assert bw.completed == 3
 
 
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_simultaneous_completions_resolve_in_one_deterministic_tick(kernel):
-    """Two identical flows finish at the same instant on both kernels.
+    """Two identical flows finish at the same instant on the wheel and heap.
 
     One completion tick must retire both (bit-equal finish times, no
     zero-length follow-up interval), and the tie-break — partition order =
     start order — is the same under the wheel and the heap.
     """
-    sim = Simulator(0, kernel=kernel)
+    sim = make_simulator(kernel)
     bw = BandwidthModel(sim)
     bw.set_capacity("A", 8_000_000, None)
     first = bw.transfer("A", "B", 1_000_000)

@@ -12,12 +12,13 @@ Three layers of assurance over :mod:`repro.net.bwalloc`:
 * **priority semantics**: fixed-priority starvation/resumption,
   priority-queue weighted shares, and the churning-chord digest pin proving
   ``--bw-alloc max-min`` still reproduces pre-refactor reports byte for
-  byte on both kernels.
+  byte, under the global recompute and on the heap reference kernel.
 """
 
 import random
 
 import pytest
+from heap_kernel import KERNELS, use_heap_kernel
 
 from repro.apps import harness
 from repro.apps.chord import run_chord_scenario
@@ -43,8 +44,8 @@ PRE_REFACTOR_CHURN_DIGEST = "a4225db7940032d4"
 
 
 def _model(seed=0, allocator="max-min", incremental=True, hosts=12,
-           kernel="wheel", sanitize=False):
-    sim = Simulator(seed, kernel=kernel)
+           sanitize=False):
+    sim = Simulator(seed)
     model = BandwidthModel(sim)
     model.configure(allocator=allocator, incremental=incremental)
     ips = harness.host_ips(hosts)
@@ -158,7 +159,8 @@ def test_incremental_rates_bit_identical_to_global_oracle(allocator, seed):
     """Component-walk recomputation == brute-force global, at every step.
 
     Two models replay the identical 220-step script, one incremental and one
-    with the ``--bw-global`` brute force; after every step the full
+    with the global brute force (``configure(incremental=False)``); after
+    every step the full
     ``(transfer_id, rate_bps, remaining_bytes)`` state must match with
     ``==`` — bit-identical floats, not approximately equal ones.
     """
@@ -301,17 +303,30 @@ def test_configure_switches_allocator_mid_run_and_recomputes():
 
 # ------------------------------------------------------------- digest parity
 @pytest.mark.slow
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
-def test_churning_chord_max_min_digest_matches_pre_refactor(kernel):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_churning_chord_max_min_digest_matches_pre_refactor(kernel, monkeypatch):
     """``--bw-alloc max-min`` reproduces the pre-refactor flagship report.
 
     Same configuration as the pinned churn digest in tests/test_testbeds.py,
-    with the allocator and (on wheel) the brute-force recompute requested
-    explicitly — neither the refactor, the priority threading nor the
-    incremental engine may move a single byte.
+    with the allocator requested explicitly; on the wheel every deployment's
+    bandwidth model is forced onto the brute-force global recompute, on the
+    heap reference kernel it keeps the incremental one — neither the
+    refactor, the priority threading nor the incremental engine may move a
+    single byte.
     """
+    models = []
+    if kernel == "wheel":
+        configure = BandwidthModel.configure
+
+        def global_configure(model, allocator=None, incremental=None):
+            models.append(model)
+            configure(model, allocator=allocator, incremental=False)
+
+        monkeypatch.setattr(BandwidthModel, "configure", global_configure)
+    use_heap_kernel(monkeypatch, kernel)
     report = run_chord_scenario(nodes=12, hosts=8, seed=11, churn=True,
                                 lookups=15, join_window=30.0, settle=40.0,
-                                kernel=kernel, bw_alloc="max-min",
-                                bw_global=(kernel == "wheel"))
+                                bw_alloc="max-min")
     assert harness.report_digest(report) == PRE_REFACTOR_CHURN_DIGEST
+    assert all(not model._incremental for model in models)
+    assert (kernel == "wheel") == bool(models)

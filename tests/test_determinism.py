@@ -1,9 +1,14 @@
 """Property-style determinism: same seed, same results — across repeated
 runs in one Python process (pids, call ids and transfer ids must not leak
-between simulations) and across the two kernel implementations."""
+between simulations) and across the timer wheel and its binary-heap
+reference kernel (``heap_kernel.HeapSimulator``)."""
 
 import json
 
+from heap_kernel import HeapSimulator, use_heap_kernel
+
+from repro.apps import harness
+from repro.apps.chord import chord_factory
 from repro.apps.harness import DIGEST_EXCLUDED_KEYS
 from repro.apps.scenarios import run_chord_scenario
 from repro.core.jobs import JobSpec
@@ -18,8 +23,8 @@ SCENARIO = dict(nodes=12, hosts=8, seed=11, churn=True, lookups=15,
 
 def _normalised(report: dict) -> str:
     # Strip the same sections the report digest excludes: they carry
-    # machine-/wall-clock-dependent numbers (gc pauses, phase walls,
-    # kernel name) by design — everything else must be byte-identical.
+    # machine-/wall-clock-dependent numbers (gc pauses, phase walls) by
+    # design — everything else must be byte-identical.
     data = {k: v for k, v in report.items() if k not in DIGEST_EXCLUDED_KEYS}
     return json.dumps(data, sort_keys=True, default=str)
 
@@ -34,10 +39,21 @@ def test_chord_scenario_is_identical_when_run_twice_in_one_process():
     assert _normalised(first) == _normalised(second)
 
 
-def test_chord_scenario_is_identical_across_kernels():
-    wheel = run_chord_scenario(kernel="wheel", **SCENARIO)
-    heap = run_chord_scenario(kernel="heap", **SCENARIO)
+def test_chord_scenario_is_identical_across_kernels(monkeypatch):
+    wheel = run_chord_scenario(**SCENARIO)
+    use_heap_kernel(monkeypatch, "heap")
+    heap = run_chord_scenario(**SCENARIO)
     assert _normalised(wheel) == _normalised(heap)
+
+
+def test_heap_reference_kernel_swaps_in_through_the_harness(monkeypatch):
+    # The cross-kernel scenario tests rely on deploy() resolving Simulator
+    # through the harness module; if that ever changes they would silently
+    # compare the wheel with itself.
+    use_heap_kernel(monkeypatch, "heap")
+    deployment = harness.deploy("chord", chord_factory(), nodes=4, hosts=2,
+                                join_window=5.0, settle=5.0)
+    assert type(deployment.sim) is HeapSimulator
 
 
 def test_churn_victim_sets_are_identical_across_in_process_runs():

@@ -2,16 +2,22 @@
 
 The two perf cuts behind the flattened per-event cost curve are guarded
 here: the host-interpreter GC policy (``repro.sim.gcpolicy``) must be
-digest-neutral across every workload and kernel, and the cached
-alive/live sets (``runtime/jobstore.py`` / ``core/jobs.py``) must stay
-coherent with a from-scratch recompute through instance churn, scripted
-host churn and trace-driven host churn — with the runtime sanitizer able
-to catch any cache that goes stale.
+digest-neutral across every workload, on the wheel kernel and on its heap
+reference, and the cached alive/live sets (``runtime/jobstore.py`` /
+``core/jobs.py``) must stay coherent with a from-scratch recompute through
+instance churn, scripted host churn and trace-driven host churn — with the
+runtime sanitizer able to catch any cache that goes stale.
+
+The from-scratch store views and the sort-every-candidate placement planner
+the store used before its caches are kept below, verbatim, as the
+reference (:func:`use_reference_store` swaps them in).
 """
 
 import gc
+from typing import Dict, List, Optional, Tuple
 
 import pytest
+from heap_kernel import KERNELS, use_heap_kernel
 
 from repro.apps.chord import run_chord_scenario
 from repro.apps.dissemination import run_dissemination_scenario
@@ -22,6 +28,7 @@ from repro.core.churn import synthetic_availability_trace
 from repro.core.jobs import JobSpec
 from repro.net.network import Network
 from repro.runtime.controller import Controller
+from repro.runtime.jobstore import JobStore
 from repro.runtime.splayd import Splayd, SplaydLimits
 from repro.sim.gcpolicy import GC_MODES, GCPolicy, TUNED_THRESHOLDS
 from repro.sim.kernel import Simulator
@@ -38,53 +45,125 @@ RUNNERS = {
 CELL = dict(nodes=12, seed=11, duration="short")
 
 
+# ------------------------------------------------------- reference store
+def _alive_daemons(store: JobStore) -> List[Splayd]:
+    return [d for d in store.daemons.values() if d.alive]
+
+
+def _alive_host_ips(store: JobStore) -> List[str]:
+    return sorted(ip for ip, daemon in store.daemons.items() if daemon.alive)
+
+
+def _failed_host_ips(store: JobStore) -> List[str]:
+    return sorted(ip for ip, daemon in store.daemons.items()
+                  if not daemon.alive)
+
+
+def _plan_placements(store: JobStore, job, count: int) -> List[Tuple[Splayd, int]]:
+    plan: List[Tuple[Splayd, int]] = []
+    pending: Dict[str, int] = {}
+    for _ in range(count):
+        daemon = _select_daemon(store, pending)
+        if daemon is None:
+            break
+        plan.append((daemon, job.allocate_instance_id()))
+        pending[daemon.ip] = pending.get(daemon.ip, 0) + 1
+    return plan
+
+
+def _select_daemon(store: JobStore, pending: Dict[str, int]) -> Optional[Splayd]:
+    candidates = []
+    for daemon in store.alive_daemons():
+        load = len(daemon.instances) + pending.get(daemon.ip, 0)
+        if daemon.limits.max_instances is not None and \
+                load >= daemon.limits.max_instances:
+            continue
+        candidates.append((load, daemon))
+    if not candidates:
+        return None
+    # Prefer emptier daemons (balanced placement) with a random tiebreak,
+    # keyed on ip so the choice is stable across runs with one seed.
+    candidates.sort(key=lambda entry: (entry[0], entry[1].ip))
+    emptiest = candidates[0][0]
+    pool = [daemon for load, daemon in candidates if load == emptiest]
+    return store._rng.choice(pool)
+
+
+def use_reference_store(monkeypatch) -> None:
+    """Recompute every store view from scratch and plan placements naively."""
+    for name, reference in (("alive_daemons", _alive_daemons),
+                            ("alive_host_ips", _alive_host_ips),
+                            ("failed_host_ips", _failed_host_ips),
+                            ("plan_placements", _plan_placements)):
+        monkeypatch.setattr(JobStore, name, reference)
+
+
 # ------------------------------------------------------------- digest parity
 @pytest.mark.parametrize("workload", sorted(RUNNERS))
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
-def test_digest_identical_with_gc_policy_and_caches_toggled(workload, kernel):
-    # The whole point of the perf knobs: flipping them must never move a
-    # digest-relevant byte, on any workload, on either kernel.
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_digest_identical_with_gc_policy_and_caches_toggled(workload, kernel,
+                                                            monkeypatch):
+    # The whole point of the perf cuts: the tuned GC policy and the cached
+    # store must never move a digest-relevant byte against GC off and the
+    # reference store, on any workload, on the wheel or the heap reference.
+    use_heap_kernel(monkeypatch, kernel)
     runner = RUNNERS[workload]
-    plain = runner(kernel=kernel, gc_policy="off", store_caches=False, **CELL)
-    tuned = runner(kernel=kernel, gc_policy="tuned", store_caches=True, **CELL)
+    tuned = runner(gc_policy="tuned", **CELL)
+    use_reference_store(monkeypatch)
+    plain = runner(gc_policy="off", **CELL)
     assert report_digest(plain) == report_digest(tuned)
 
 
-def test_digest_identical_in_manual_mode_under_churn():
-    # Manual mode disables ambient collection and collects at drain
-    # checkpoints — still invisible to the simulation, even while churn
-    # exercises the invalidation paths.
+def test_digest_identical_in_tuned_mode_under_churn(monkeypatch):
+    # Tuned mode freezes the deployed graph — still invisible to the
+    # simulation, even while churn exercises the cache invalidation paths.
     base = dict(nodes=12, seed=7, duration="short", churn=True)
-    plain = run_chord_scenario(gc_policy="off", store_caches=False, **base)
-    manual = run_chord_scenario(gc_policy="manual", store_caches=True, **base)
-    assert report_digest(plain) == report_digest(manual)
-    assert gc.isenabled()  # disengage() restored the collector
+    thresholds = gc.get_threshold()
+    tuned = run_chord_scenario(gc_policy="tuned", **base)
+    assert gc.get_threshold() == thresholds  # disengage() restored them
+    assert gc.get_freeze_count() == 0
+    use_reference_store(monkeypatch)
+    plain = run_chord_scenario(gc_policy="off", **base)
+    assert report_digest(plain) == report_digest(tuned)
 
 
 # --------------------------------------------------------- gc policy lifecycle
 def test_gc_policy_rejects_unknown_modes():
-    with pytest.raises(ValueError):
-        GCPolicy("aggressive")
-    assert set(GC_MODES) == {"off", "tuned", "manual"}
+    for mode in ("aggressive", "manual"):
+        with pytest.raises(ValueError):
+            GCPolicy(mode)
+    assert set(GC_MODES) == {"off", "tuned"}
 
 
 def test_gc_policy_engage_disengage_restores_interpreter_state():
     before_thresholds = gc.get_threshold()
     before_enabled = gc.isenabled()
-    policy = GCPolicy("manual").engage()
+    policy = GCPolicy("tuned").engage()
     assert gc.get_threshold() == TUNED_THRESHOLDS
     policy.after_deploy()
-    assert not gc.isenabled()  # manual mode owns collection points
+    assert gc.isenabled() == before_enabled  # ambient collection stays on
     assert policy.frozen_objects > 0
-    policy.checkpoint()
-    assert policy.explicit_collects >= 2  # after_deploy's gen2 + checkpoint
+    assert policy.explicit_collects == 1  # after_deploy's gen2 collect
     policy.disengage()
     assert gc.get_threshold() == before_thresholds
+    assert gc.get_freeze_count() == 0
     assert gc.isenabled() == before_enabled
     # Idempotent: a second disengage must not double-restore or collect.
-    collects = policy.explicit_collects
     policy.disengage()
-    assert policy.explicit_collects == collects
+    assert policy.explicit_collects == 1
+    assert gc.get_threshold() == before_thresholds
+
+
+@pytest.mark.parametrize("broken", [{"testbed": "bogus"}, {"ctl_shards": 0}],
+                         ids=["unknown-testbed", "zero-shards"])
+def test_failed_deploy_leaves_the_interpreter_gc_state_alone(broken):
+    # deploy() engages the tuned policy before it builds the testbed and
+    # the controller; when either raises, the policy must be disengaged.
+    thresholds, frozen = gc.get_threshold(), gc.get_freeze_count()
+    with pytest.raises(Exception):
+        run_chord_scenario(nodes=8, duration="short", **broken)
+    assert gc.get_threshold() == thresholds
+    assert gc.get_freeze_count() == frozen
 
 
 def test_gc_policy_section_reports_counters():
@@ -109,10 +188,10 @@ def test_tuned_gc_section_lands_in_the_report_and_not_the_digest():
 
 
 # ------------------------------------------------------------- cached views
-def _world(seed=0, daemons=6, max_instances=4, caches=True):
+def _world(seed=0, daemons=6, max_instances=4):
     sim = Simulator(seed)
     network = Network(sim, seed=seed)
-    controller = Controller(sim, network, seed=seed, store_caches=caches)
+    controller = Controller(sim, network, seed=seed)
     for i in range(daemons):
         controller.register_daemon(Splayd(
             sim, network, f"10.0.0.{i + 1}",
@@ -153,9 +232,9 @@ def test_cached_views_track_instance_and_host_churn():
     assert job.live_instances() == job._recompute_live_instances()
 
 
-def test_cached_and_uncached_worlds_agree_through_host_churn():
-    def timeline(caches):
-        sim, _network, controller = _world(seed=5, caches=caches)
+def test_cached_and_uncached_worlds_agree_through_host_churn(monkeypatch):
+    def timeline():
+        sim, _network, controller = _world(seed=5)
         job = controller.submit(JobSpec(
             name="app", app_factory=lambda i: None, instances=10,
             churn_script=("at 5s crash 30%\nat 8s fail 1\n"
@@ -168,7 +247,9 @@ def test_cached_and_uncached_worlds_agree_through_host_churn():
                               [i.instance_id for i in job.live_instances()]))
         return snapshots
 
-    assert timeline(caches=True) == timeline(caches=False)
+    cached = timeline()
+    use_reference_store(monkeypatch)
+    assert cached == timeline()
 
 
 @pytest.mark.parametrize("churn_kwargs", [
@@ -176,13 +257,15 @@ def test_cached_and_uncached_worlds_agree_through_host_churn():
     {"churn_trace": synthetic_availability_trace(hosts=6, duration=120.0,
                                                  seed=3)},
 ], ids=["script-churn", "trace-churn"])
-def test_scenario_digests_identical_with_caches_under_churn(churn_kwargs):
+def test_scenario_digests_identical_with_caches_under_churn(churn_kwargs,
+                                                            monkeypatch):
     # End-to-end: scripted instance churn and trace-driven host churn both
     # hammer the invalidation paths; the sanitizer cross-checks every cache
     # against a recompute after each control action and must stay silent.
     base = dict(nodes=12, seed=4, duration="short", sanitize=True)
-    cached = run_chord_scenario(store_caches=True, **base, **churn_kwargs)
-    oracle = run_chord_scenario(store_caches=False, **base, **churn_kwargs)
+    cached = run_chord_scenario(**base, **churn_kwargs)
+    use_reference_store(monkeypatch)
+    oracle = run_chord_scenario(**base, **churn_kwargs)
     assert cached["sanitizer"]["violations"] == 0
     assert report_digest(cached) == report_digest(oracle)
 
@@ -222,13 +305,14 @@ def test_sanitizer_catches_a_stale_live_instance_cache():
 
 
 # ---------------------------------------------------------- bucketed planner
-def test_bucketed_placement_matches_the_naive_kill_switch_path():
+def test_bucketed_placement_matches_the_naive_kill_switch_path(monkeypatch):
     # The bucketed planner must consume the RNG and pick daemons exactly
-    # like the original sort-the-world-per-instance loop, including across
-    # capacity exhaustion and post-churn refills.
-    def placements(caches):
+    # like the original sort-the-world-per-instance loop (the reference
+    # planner above), including across capacity exhaustion and post-churn
+    # refills.
+    def placements():
         sim, _network, controller = _world(seed=13, daemons=5,
-                                           max_instances=3, caches=caches)
+                                           max_instances=3)
         job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
                                         instances=9))
         controller.start(job)
@@ -237,4 +321,6 @@ def test_bucketed_placement_matches_the_naive_kill_switch_path():
         controller.start_instances(job, 4)  # refill after the failure
         return [(p.ip, p.instance_id) for p in job.placements]
 
-    assert placements(caches=True) == placements(caches=False)
+    bucketed = placements()
+    use_reference_store(monkeypatch)
+    assert bucketed == placements()

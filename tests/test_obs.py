@@ -1,7 +1,8 @@
 """Observability subsystem: metrics math, flight-recorder ring, tracer
 export, profiler attribution — and the load-bearing guarantee that enabling
 any combination of ``--metrics`` / ``--trace-out`` / ``--profile`` never
-changes a report digest, on either kernel, for every workload."""
+changes a report digest, on the wheel kernel and on its heap reference,
+for every workload."""
 
 import importlib.util
 import json
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from heap_kernel import KERNELS, use_heap_kernel
 
 from repro.obs import (
     COUNT_BOUNDS,
@@ -114,7 +116,7 @@ def test_ring_renders_spans_and_partial_fill():
 
 def test_observed_kernel_still_recycles_events():
     """The observer must not pin events: free-list recycling stays on."""
-    sim = Simulator(0, kernel="wheel")
+    sim = Simulator(0)
     Observability(sim, metrics=True, tracing=True, profile=True).install()
     fired = [0]
 
@@ -206,7 +208,7 @@ def test_logger_records_carry_host_and_structured_fields():
 def test_sanitizer_violation_report_includes_ring_context():
     from repro.sim.sanitizer import Sanitizer
 
-    sim = Simulator(0, kernel="wheel")
+    sim = Simulator(0)
     sanitizer = Sanitizer(sim).install()
     obs = Observability(sim).install()
     sanitizer.recorder = obs.recorder
@@ -246,14 +248,16 @@ def _runner(workload):
 
 
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_observability_flags_never_change_the_digest(workload, kernel,
-                                                     tmp_path):
+                                                     tmp_path, monkeypatch):
     """Metrics + tracing + profiling on vs everything off: byte-identical
-    digests for every workload on both kernels (the core guarantee)."""
+    digests for every workload, on the wheel and on its heap reference
+    (the core guarantee)."""
     from repro.apps.harness import report_digest
 
-    config = dict(_WORKLOADS[workload], kernel=kernel)
+    use_heap_kernel(monkeypatch, kernel)
+    config = _WORKLOADS[workload]
     runner = _runner(workload)
     plain = runner(**config)
     trace_path = tmp_path / f"{workload}.json"
@@ -302,15 +306,16 @@ def test_fifty_node_churning_chord_acceptance(tmp_path):
     assert top and all(":" in row["site"] for row in top)
 
 
-def test_metrics_identical_across_kernels():
-    """The metrics themselves (not just the digest) are kernel-independent,
-    except the kernel-specific recycle/cancel counters."""
+def test_metrics_identical_across_kernels(monkeypatch):
+    """The metrics themselves (not just the digest) match the heap reference
+    kernel's, except the kernel-specific recycle/cancel counters."""
     from repro.apps.chord import run_chord_scenario
 
     config = dict(nodes=10, hosts=6, seed=5, lookups=10, duration="short",
                   metrics=True)
-    wheel = run_chord_scenario(kernel="wheel", **config)["metrics"]
-    heap = run_chord_scenario(kernel="heap", **config)["metrics"]
+    wheel = run_chord_scenario(**config)["metrics"]
+    use_heap_kernel(monkeypatch, "heap")
+    heap = run_chord_scenario(**config)["metrics"]
     assert wheel["network"] == heap["network"]
     assert wheel["rpc"] == heap["rpc"]
     assert wheel["job"]["registry"] == heap["job"]["registry"]

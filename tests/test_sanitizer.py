@@ -6,6 +6,7 @@ from heapq import heappush
 from types import SimpleNamespace
 
 import pytest
+from heap_kernel import make_simulator
 
 from repro.net.address import Address
 from repro.net.bandwidth import BandwidthModel
@@ -24,7 +25,7 @@ def _reset_future_hook():
 
 
 def _installed(kernel="wheel"):
-    sim = Simulator(0, kernel=kernel)
+    sim = make_simulator(kernel)
     return sim, Sanitizer(sim).install()
 
 

@@ -78,11 +78,11 @@ def _write_scale_csv(path):
     from repro.apps.scenarios import BENCH_CSV_COLUMNS, write_bench_csv
 
     rows = [
-        {"row_type": "kernel", "kernel": "wheel", "nodes": 50},  # skipped
-        {"row_type": "scale", "workload": "chord", "kernel": "wheel",
+        {"row_type": "kernel", "nodes": 50},  # skipped
+        {"row_type": "scale", "workload": "chord",
          "nodes": 1000, "hosts": 500, "events_executed": 500000,
          "events_per_sec": 50000.0, "wall_sec": 10.0, "peak_rss_kb": 200000},
-        {"row_type": "scale", "workload": "chord", "kernel": "wheel",
+        {"row_type": "scale", "workload": "chord",
          "nodes": 5000, "hosts": 2500, "events_executed": 2500000,
          "events_per_sec": 45000.0, "wall_sec": 55.0, "peak_rss_kb": 800000},
     ]
